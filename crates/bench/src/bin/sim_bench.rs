@@ -1,0 +1,235 @@
+//! Simulator throughput benchmark: host time of `exec::measure` over the
+//! golden matrix of `crates/core/tests/sim_golden.rs`, plus one
+//! 196-candidate `grid_search_budgeted` on a 240-vertex graph.
+//!
+//! Usage: `sim_bench [--smoke] [--slot <name>]`. A run replaces one slot of
+//! `results/BENCH_sim.json` and keeps the others, so the file holds
+//! `before` (measured on the parent commit's simulator) and `after` side by
+//! side, plus their ratio. `--slot` defaults to `after`; `--smoke` runs a
+//! single repetition of a trimmed matrix into the `smoke` slot, which CI
+//! checks for shape only (no wall-clock threshold).
+//!
+//! Each matrix cell is one (device, schedule, graph) triple; its figure is
+//! the median over repetitions of the mean host µs per `measure` call
+//! across the cell's three operators × two fidelities. Devices form the
+//! outer loop, as in a process that targets one GPU, and one untimed pass
+//! per cell runs first, so lazily built per-thread state is warm.
+
+// Benchmark driver: exiting on a broken invariant is the right behaviour.
+#![allow(clippy::unwrap_used)]
+
+use std::time::Instant;
+
+use ugrapher_bench::{print_table, results_dir};
+use ugrapher_core::abstraction::OpInfo;
+use ugrapher_core::exec::{measure, Fidelity, MeasureOptions};
+use ugrapher_core::plan::KernelPlan;
+use ugrapher_core::schedule::{ParallelInfo, Strategy};
+use ugrapher_core::tune::{grid_search_budgeted, TuneBudget};
+use ugrapher_graph::generate::{DegreeModel, GraphSpec};
+use ugrapher_graph::Graph;
+use ugrapher_sim::DeviceConfig;
+use ugrapher_util::json::{self, Value};
+
+const FEAT: usize = 32;
+const REPS: usize = 7;
+const GRID_REPS: usize = 5;
+
+fn spec(nv: usize, ne: usize, degree_model: DegreeModel, locality: f64, seed: u64) -> Graph {
+    GraphSpec {
+        num_vertices: nv,
+        num_edges: ne,
+        degree_model,
+        locality,
+        seed,
+    }
+    .build()
+}
+
+/// The golden test's graphs, by name.
+fn graphs(smoke: bool) -> Vec<(&'static str, Graph)> {
+    let mut g = vec![
+        (
+            "skewed",
+            spec(300, 1200, DegreeModel::TargetStd { std: 4.0 }, 0.5, 7),
+        ),
+        (
+            "hub",
+            spec(400, 2400, DegreeModel::PowerLaw { alpha: 2.0 }, 0.2, 11),
+        ),
+        ("large", spec(3000, 30000, DegreeModel::NearRegular, 0.8, 3)),
+        ("edgeless", spec(64, 0, DegreeModel::NearRegular, 0.0, 1)),
+        ("single", spec(1, 3, DegreeModel::NearRegular, 0.0, 5)),
+    ];
+    if smoke {
+        g.retain(|(name, _)| *name != "large");
+    }
+    g
+}
+
+fn schedules() -> Vec<ParallelInfo> {
+    let mut s = ParallelInfo::basics();
+    s.push(ParallelInfo::new(Strategy::WarpEdge, 8, 1));
+    s.push(ParallelInfo::new(Strategy::ThreadVertex, 1, 4));
+    s
+}
+
+fn ops() -> Vec<(OpInfo, (bool, bool))> {
+    vec![
+        (OpInfo::aggregation_sum(), (false, false)),
+        (OpInfo::message_creation_add(), (false, false)),
+        (OpInfo::weighted_aggregation_sum(), (false, true)),
+    ]
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// Host µs per `measure` for one cell: every op × fidelity once.
+fn time_cell(g: &Graph, p: ParallelInfo, options: &[MeasureOptions]) -> f64 {
+    let plans: Vec<KernelPlan> = ops()
+        .into_iter()
+        .map(|(op, (a, b))| {
+            KernelPlan::generate(op, p, g.num_vertices(), g.num_edges(), FEAT)
+                .unwrap()
+                .with_scalar_operands(a, b)
+        })
+        .collect();
+    let t0 = Instant::now();
+    for o in options {
+        for plan in &plans {
+            std::hint::black_box(measure(g, plan, o));
+        }
+    }
+    t0.elapsed().as_secs_f64() * 1e6 / (options.len() * plans.len()) as f64
+}
+
+fn grid_search_ms(reps: usize) -> (Graph, f64) {
+    let g = spec(240, 1440, DegreeModel::TargetStd { std: 3.0 }, 0.5, 240);
+    let space = ParallelInfo::space();
+    assert_eq!(space.len(), 196);
+    let options = MeasureOptions::auto(DeviceConfig::v100());
+    let op = OpInfo::weighted_aggregation_sum();
+    let run = || {
+        let t0 = Instant::now();
+        let r = grid_search_budgeted(
+            &g,
+            &op,
+            FEAT,
+            (false, true),
+            &options,
+            &space,
+            TuneBudget::unlimited(),
+        )
+        .unwrap();
+        assert_eq!(r.all.len() + r.illegal, 196);
+        t0.elapsed().as_secs_f64() * 1e3
+    };
+    run();
+    let ms = median((0..reps).map(|_| run()).collect());
+    (g, ms)
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    let smoke = args.iter().any(|a| a == "--smoke");
+    let slot = match args.iter().position(|a| a == "--slot") {
+        Some(i) => args.get(i + 1).expect("--slot needs a name").clone(),
+        None if smoke => "smoke".to_owned(),
+        None => "after".to_owned(),
+    };
+    let (reps, grid_reps) = if smoke { (1, 1) } else { (REPS, GRID_REPS) };
+
+    let graphs = graphs(smoke);
+    let schedules = schedules();
+
+    let mut cells = Vec::new();
+    let mut rows = Vec::new();
+    let mut total_us = 0.0;
+    for device in [DeviceConfig::v100(), DeviceConfig::a100()] {
+        let options = [Fidelity::Full, Fidelity::Auto]
+            .map(|f| MeasureOptions::new(device.clone()).with_fidelity(f));
+        for (name, g) in &graphs {
+            for &p in &schedules {
+                time_cell(g, p, &options);
+                let us = median((0..reps).map(|_| time_cell(g, p, &options)).collect());
+                total_us += us;
+                rows.push(vec![
+                    device.name.clone(),
+                    p.label(),
+                    name.to_string(),
+                    g.num_vertices().to_string(),
+                    g.num_edges().to_string(),
+                    format!("{us:.1}"),
+                ]);
+                cells.push(Value::obj(vec![
+                    ("device", Value::Str(device.name.clone())),
+                    ("schedule", Value::Str(p.label())),
+                    ("graph", Value::Str(name.to_string())),
+                    ("vertices", Value::Num(g.num_vertices() as f64)),
+                    ("edges", Value::Num(g.num_edges() as f64)),
+                    ("measure_us", Value::Num(us)),
+                ]));
+            }
+        }
+    }
+    let mean_us = total_us / cells.len() as f64;
+    let (grid_graph, grid_ms) = grid_search_ms(grid_reps);
+
+    print_table(
+        &format!("exec::measure host time ({slot})"),
+        &["device", "schedule", "graph", "|V|", "|E|", "us/measure"],
+        &rows,
+    );
+    println!("mean over cells: {mean_us:.1} us/measure");
+    println!(
+        "grid_search_budgeted, 196 candidates, |V|={} |E|={}: {grid_ms:.1} ms",
+        grid_graph.num_vertices(),
+        grid_graph.num_edges()
+    );
+
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let run = Value::obj(vec![
+        ("smoke", Value::Bool(smoke)),
+        ("reps", Value::Num(reps as f64)),
+        ("host_threads", Value::Num(threads as f64)),
+        ("mean_measure_us", Value::Num(mean_us)),
+        ("cells", Value::Arr(cells)),
+        (
+            "grid_search",
+            Value::obj(vec![
+                ("candidates", Value::Num(196.0)),
+                ("vertices", Value::Num(grid_graph.num_vertices() as f64)),
+                ("edges", Value::Num(grid_graph.num_edges() as f64)),
+                ("ms", Value::Num(grid_ms)),
+            ]),
+        ),
+    ]);
+
+    let path = results_dir().join("BENCH_sim.json");
+    let mut doc = match std::fs::read_to_string(&path).ok().map(|s| json::parse(&s)) {
+        Some(Ok(Value::Obj(m))) => m,
+        _ => Default::default(),
+    };
+    doc.insert(slot, run);
+    let at = |slot: &str, path: &[&str]| {
+        path.iter()
+            .try_fold(doc.get(slot)?, |v, k| v.get(k))?
+            .as_f64()
+    };
+    let ratio = |path: &[&str]| Some(at("after", path)? / at("before", path)?);
+    if let (Some(m), Some(g)) = (ratio(&["mean_measure_us"]), ratio(&["grid_search", "ms"])) {
+        println!("after/before: measure {m:.3}x, grid search {g:.3}x");
+        doc.insert(
+            "after_over_before".to_owned(),
+            Value::obj(vec![
+                ("mean_measure_us", Value::Num(m)),
+                ("grid_search_ms", Value::Num(g)),
+            ]),
+        );
+    }
+    std::fs::write(&path, Value::Obj(doc).to_string_compact()).expect("can write BENCH_sim.json");
+    println!("[saved {}]", path.display());
+}

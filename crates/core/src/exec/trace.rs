@@ -786,7 +786,6 @@ impl Tracer<'_> {
                     let mut in_bases: Vec<Vec<u64>> = inputs.iter().map(|_| Vec::new()).collect();
                     let mut store_bases = Vec::new();
                     let mut conflict_groups = Vec::new();
-                    let mut flushes = 0usize;
                     let mut active = 0usize;
                     for &(tile, estart, eend) in &lane_items {
                         let e = estart + s;
@@ -821,7 +820,6 @@ impl Tracer<'_> {
                             // of a same-destination run (or of the group).
                             let flush = e + 1 >= eend || view.dst[e + 1] as u64 != dst;
                             if flush {
-                                flushes += 1;
                                 store_bases.push(self.lay.row_addr(self.lay.c, dst, tile_off));
                                 if plan.needs_atomic && tile == 0 {
                                     conflict_groups.push(dst);
@@ -865,7 +863,6 @@ impl Tracer<'_> {
                             // One warp-level atomic sequence per step in
                             // which any lane flushes (SIMT: the instruction
                             // issues once for all flushing lanes).
-                            let _ = flushes;
                             cyc += tile_len as f64
                                 * (costs::CYCLES_PER_MEM_ISSUE + costs::CYCLES_ATOMIC_ISSUE);
                         } else {

@@ -1,6 +1,7 @@
 //! Bit-identity proof for the simulator: a digest over every `SimReport`
 //! field (and over `collect_writes` write logs) for a fixed matrix of
-//! graphs × schedules × operators × devices × fidelities.
+//! graphs × schedules × operators × devices × fidelities, plus a check that
+//! the per-thread cache reuse never leaks state between measurements.
 //!
 //! The simulator is deterministic, so a host-side speed change to the trace
 //! walkers or the cache/timing model must leave these digests unchanged.
@@ -14,7 +15,9 @@ use ugrapher_core::plan::KernelPlan;
 use ugrapher_core::schedule::{ParallelInfo, Strategy};
 use ugrapher_graph::generate::{DegreeModel, GraphSpec};
 use ugrapher_graph::Graph;
-use ugrapher_sim::{DeviceConfig, SimReport};
+use ugrapher_sim::{
+    Access, DeviceConfig, Fault, FaultInjector, KernelSim, LaunchConfig, SimReport,
+};
 
 const FEAT: usize = 32;
 
@@ -167,4 +170,98 @@ fn write_logs_are_identical_to_recorded_digest() {
         got, WRITES_DIGEST,
         "write-log digest moved: got {got:#018x}, recorded {WRITES_DIGEST:#018x}"
     );
+}
+
+/// Interleaves measurements across cache geometries (V100, A100, and
+/// fault-injected devices) on one thread, with a simulator that panics
+/// mid-stream in between; each report must equal the same measurement on a
+/// fresh thread, where no reused cache state exists.
+#[test]
+fn reused_caches_match_fresh_threads() {
+    let v100 = DeviceConfig::v100();
+    let a100 = DeviceConfig::a100();
+    let devices = [
+        v100.clone(),
+        a100.clone(),
+        FaultInjector::new()
+            .with(Fault::ZeroCaches)
+            .device(&v100)
+            .expect("zeroed caches still validate"),
+        FaultInjector::new()
+            .with(Fault::PerturbDevice { factor: 0.5 })
+            .device(&a100)
+            .expect("a mild perturbation validates"),
+    ];
+    let graphs: Vec<_> = graphs()
+        .into_iter()
+        .filter(|(name, _)| matches!(*name, "skewed" | "hub" | "single"))
+        .collect();
+    let schedules = [
+        ParallelInfo::basic(Strategy::WarpEdge),
+        ParallelInfo::new(Strategy::ThreadVertex, 1, 4),
+    ];
+    let mut cases = Vec::new();
+    for (gi, (_, g)) in graphs.iter().enumerate() {
+        for (di, device) in devices.iter().enumerate() {
+            for (si, &p) in schedules.iter().enumerate() {
+                let fidelity = if (gi + di + si) % 2 == 0 {
+                    Fidelity::Full
+                } else {
+                    Fidelity::Auto
+                };
+                let options = MeasureOptions::new(device.clone()).with_fidelity(fidelity);
+                cases.push((
+                    gi,
+                    plan(g, OpInfo::aggregation_sum(), (false, false), p),
+                    options,
+                ));
+            }
+        }
+    }
+
+    // The panicking simulator runs right before a V100 measurement, so
+    // caches it left dirty would be reused by that measurement.
+    let panic_before = (cases.len() / 2..cases.len())
+        .find(|&i| cases[i].2.device == v100)
+        .expect("the second half measures on V100");
+    let reused: Vec<SimReport> = std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut out = Vec::new();
+            for (i, (gi, plan, options)) in cases.iter().enumerate() {
+                if i == panic_before {
+                    // Fill some V100 caches, then break the protocol.
+                    let panicked = std::panic::catch_unwind(|| {
+                        let mut sim = KernelSim::new(&v100, LaunchConfig::new(4, 256));
+                        sim.begin_block(0);
+                        for i in 0..4096u64 {
+                            sim.load(Access::Coalesced {
+                                base: i * 128,
+                                lanes: 32,
+                            });
+                        }
+                        sim.end_block();
+                        sim.load(Access::Broadcast { addr: 0 });
+                    });
+                    assert!(panicked.is_err(), "a load outside a block must panic");
+                }
+                out.push(measure(&graphs[*gi].1, plan, options));
+            }
+            out
+        })
+        .join()
+        .expect("reuse thread completes")
+    });
+
+    for (i, (gi, plan, options)) in cases.iter().enumerate() {
+        let fresh = std::thread::scope(|s| {
+            s.spawn(|| measure(&graphs[*gi].1, plan, options))
+                .join()
+                .expect("fresh thread completes")
+        });
+        assert_eq!(
+            reused[i], fresh,
+            "case {i}: {} on {} diverged under reuse",
+            plan.parallel, options.device.name
+        );
+    }
 }

@@ -1,5 +1,6 @@
 //! GPU device parameters.
 
+use crate::cache::Cache;
 use crate::error::SimError;
 
 /// Architectural parameters of a simulated GPU.
@@ -112,7 +113,9 @@ impl DeviceConfig {
     }
 
     /// Checks the configuration is inside the legal envelope: every
-    /// structural parameter positive, every rate finite and positive.
+    /// structural parameter positive, cache associativities within what the
+    /// cache model holds ([`Cache::MAX_ASSOC`]), every rate finite and
+    /// positive.
     /// Degenerate configs (zero SMs, zero clock) would otherwise surface as
     /// divisions by zero deep inside the timing model.
     ///
@@ -134,6 +137,13 @@ impl DeviceConfig {
             if v == 0 {
                 return Err(SimError::InvalidDevice {
                     reason: format!("{field} must be positive"),
+                });
+            }
+        }
+        for (field, v) in [("l1_assoc", self.l1_assoc), ("l2_assoc", self.l2_assoc)] {
+            if v > Cache::MAX_ASSOC {
+                return Err(SimError::InvalidDevice {
+                    reason: format!("{field} {v} exceeds the maximum of {}", Cache::MAX_ASSOC),
                 });
             }
         }
@@ -225,6 +235,12 @@ mod tests {
         let mut d = DeviceConfig::v100();
         d.launch_overhead_us = -1.0;
         assert!(d.validate().is_err());
+
+        let mut d = DeviceConfig::v100();
+        d.l2_assoc = Cache::MAX_ASSOC + 1;
+        assert!(matches!(d.validate(), Err(SimError::InvalidDevice { .. })));
+        d.l2_assoc = Cache::MAX_ASSOC;
+        d.validate().unwrap();
     }
 
     #[test]

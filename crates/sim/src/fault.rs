@@ -328,6 +328,17 @@ mod tests {
     }
 
     #[test]
+    fn associativity_beyond_the_cache_model_is_rejected_not_panicking() {
+        let mut base = DeviceConfig::v100();
+        base.l1_assoc = 256;
+        let inj = FaultInjector::new().with(Fault::PerturbDevice { factor: 1.0 });
+        let err = inj.device(&base).unwrap_err();
+        assert!(matches!(err, SimError::InvalidDevice { .. }), "{err}");
+        let err = inj.instrument(&base, LaunchConfig::new(1, 32)).unwrap_err();
+        assert!(matches!(err, SimError::InvalidDevice { .. }), "{err}");
+    }
+
+    #[test]
     fn nan_perturbation_is_an_invalid_fault() {
         let inj = FaultInjector::new().with(Fault::PerturbDevice { factor: f64::NAN });
         let err = inj.device(&DeviceConfig::v100()).unwrap_err();

@@ -1,7 +1,9 @@
 //! Trace front-end: records per-block costs while streaming accesses
 //! through the cache hierarchy.
 
+use std::cell::Cell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::access::Access;
 use crate::cache::Cache;
@@ -70,20 +72,120 @@ pub enum MemScope {
 /// [`KernelSim::load`] / [`KernelSim::store`] / [`KernelSim::atomic`] /
 /// [`KernelSim::compute`] calls, then [`KernelSim::end_block`]; finally
 /// [`KernelSim::finish`].
+///
+/// The caches come from a one-slot per-thread reuse keyed by cache
+/// geometry and go back to it, emptied, when the simulator is dropped
+/// (also on unwind), so a measurement on a warm thread allocates no cache
+/// state.
 #[derive(Debug)]
 pub struct KernelSim {
     device: DeviceConfig,
     launch: LaunchConfig,
-    l1: Vec<Cache>,
-    l2: Cache,
+    /// Always `Some` until [`Drop`] hands the caches back.
+    caches: Option<Caches>,
     pool: Vec<BlockCost>,
     current: Option<(usize, BlockCost)>,
-    conflicts: HashMap<u64, f64>,
+    conflicts: HashMap<u64, f64, BuildHasherDefault<ConflictHasher>>,
     line_buf: Vec<u64>,
     atomic_ops: f64,
     cold: ColdTracker,
     block_scale: f64,
     write_log: Option<WriteLog>,
+}
+
+/// The cache geometry a [`Caches`] was built for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct CacheGeometry {
+    num_sms: usize,
+    l1_bytes: usize,
+    l1_assoc: usize,
+    l2_bytes: usize,
+    l2_assoc: usize,
+    line_bytes: usize,
+}
+
+impl CacheGeometry {
+    fn of(d: &DeviceConfig) -> Self {
+        Self {
+            num_sms: d.num_sms,
+            l1_bytes: d.l1_bytes,
+            l1_assoc: d.l1_assoc,
+            l2_bytes: d.l2_bytes,
+            l2_assoc: d.l2_assoc,
+            line_bytes: d.line_bytes,
+        }
+    }
+}
+
+/// One launch's cache hierarchy: an L1 per SM and the shared L2.
+#[derive(Debug)]
+struct Caches {
+    geometry: CacheGeometry,
+    l1: Vec<Cache>,
+    l2: Cache,
+}
+
+thread_local! {
+    /// The emptied caches of the last [`KernelSim`] dropped on this thread.
+    static SPARE_CACHES: Cell<Option<Caches>> = const { Cell::new(None) };
+}
+
+impl Caches {
+    /// Takes this thread's spare caches if they match `device`'s geometry,
+    /// else builds new ones (a mismatched spare is freed).
+    fn acquire(device: &DeviceConfig) -> Self {
+        let geometry = CacheGeometry::of(device);
+        match SPARE_CACHES.try_with(Cell::take).ok().flatten() {
+            Some(spare) if spare.geometry == geometry => spare,
+            _ => Self {
+                geometry,
+                l1: (0..device.num_sms)
+                    .map(|_| Cache::new(device.l1_bytes, device.line_bytes, device.l1_assoc))
+                    .collect(),
+                l2: Cache::new(device.l2_bytes, device.line_bytes, device.l2_assoc),
+            },
+        }
+    }
+
+    /// Empties the caches and keeps them as this thread's spare.
+    fn release(mut self) {
+        for c in &mut self.l1 {
+            c.reset();
+        }
+        self.l2.reset();
+        // During thread teardown the slot may be gone; the caches are then
+        // simply freed.
+        let _ = SPARE_CACHES.try_with(|slot| slot.set(Some(self)));
+    }
+}
+
+/// Fixed multiplicative hasher for the atomic conflict map.
+///
+/// Keys are conflict-group ids (destination vertex ids below `|V|` from the
+/// trace walker), and the map's only reader is an order-independent max, so
+/// SipHash's keyed randomness buys nothing here. A crafted graph can only
+/// choose which ids below `|V|` occur, and a Fibonacci multiply spreads that
+/// range almost evenly over the buckets, so about `|V| / buckets` keys at
+/// most share one.
+#[derive(Debug, Default, Clone, Copy)]
+struct ConflictHasher(u64);
+
+impl Hasher for ConflictHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0 ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply mixes upward; rotate the well-mixed high bits into
+        // the low bits the table indexes by.
+        self.0.rotate_left(26)
+    }
 }
 
 /// Growable bitmap over line ids, marking lines seen at L2.
@@ -115,18 +217,13 @@ impl ColdTracker {
 impl KernelSim {
     /// Creates a simulator for one kernel on the given device.
     pub fn new(device: &DeviceConfig, launch: LaunchConfig) -> Self {
-        let l1 = (0..device.num_sms)
-            .map(|_| Cache::new(device.l1_bytes, device.line_bytes, device.l1_assoc))
-            .collect();
-        let l2 = Cache::new(device.l2_bytes, device.line_bytes, device.l2_assoc);
         Self {
             device: device.clone(),
             launch,
-            l1,
-            l2,
+            caches: Some(Caches::acquire(device)),
             pool: Vec::new(),
             current: None,
-            conflicts: HashMap::new(),
+            conflicts: HashMap::default(),
             line_buf: Vec::with_capacity(64),
             atomic_ops: 0.0,
             cold: ColdTracker::default(),
@@ -209,14 +306,13 @@ impl KernelSim {
         }
         let scale = self.block_scale;
         let w = self.launch.replication * scale;
-        let (sm, cost) = self.current.as_mut().expect("atomic outside a block");
-        let _ = sm;
-        let device = &self.device;
+        let (_, cost) = self.current.as_mut().expect("atomic outside a block");
+        let l2 = &mut self.caches.as_mut().expect("caches live until drop").l2;
         self.line_buf.clear();
-        access.lines(device, &mut self.line_buf);
+        access.lines(&self.device, &mut self.line_buf);
         for &line in &self.line_buf {
             cost.atomics += scale;
-            if self.l2.access_line(line, w) {
+            if l2.access_line(line, w) {
                 cost.l2_hits += scale;
             } else if w > 1.0 && self.cold.first_touch(line) {
                 cost.dram += scale / w;
@@ -347,14 +443,14 @@ impl KernelSim {
             .current
             .as_mut()
             .expect("memory access outside a block");
-        let device = &self.device;
+        let Caches { l1, l2, .. } = self.caches.as_mut().expect("caches live until drop");
+        let l1 = &mut l1[*sm];
         self.line_buf.clear();
-        access.lines(device, &mut self.line_buf);
-        let l1 = &mut self.l1[*sm];
+        access.lines(&self.device, &mut self.line_buf);
         for &line in &self.line_buf {
             if l1.access_line(line, w) {
                 cost.l1_hits += scale;
-            } else if self.l2.access_line(line, w) {
+            } else if l2.access_line(line, w) {
                 cost.l2_hits += scale;
             } else if w > 1.0 && self.cold.first_touch(line) {
                 cost.dram += scale / w;
@@ -362,6 +458,14 @@ impl KernelSim {
             } else {
                 cost.dram += scale;
             }
+        }
+    }
+}
+
+impl Drop for KernelSim {
+    fn drop(&mut self) {
+        if let Some(caches) = self.caches.take() {
+            caches.release();
         }
     }
 }

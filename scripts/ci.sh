@@ -66,6 +66,27 @@ print(f'serving JSON ok: hit rate {hit_rate:.1%}, warm/cold speedup {speedup:.1f
       f'{r["warm"]["requests"]} warm requests p99={r["warm"]["p99_ms"]:.2f}ms')
 EOF
 
+echo "== simulator: sim_bench --smoke + BENCH_sim.json shape =="
+cargo run --release -p ugrapher-bench --bin sim_bench -- --smoke >/dev/null
+# Shape only: wall-clock figures vary by host, so no threshold is applied.
+python3 - results/BENCH_sim.json <<'EOF'
+import json, sys
+r = json.load(open(sys.argv[1]))
+for slot in ("before", "after", "smoke"):
+    run = r[slot]
+    assert run["cells"], f"{slot}: no cells"
+    for c in run["cells"]:
+        assert {"device", "schedule", "graph", "vertices", "edges"} <= c.keys(), c
+        assert c["measure_us"] > 0, c
+    assert run["mean_measure_us"] > 0
+    assert run["grid_search"]["candidates"] == 196
+    assert run["grid_search"]["ms"] > 0
+assert r["smoke"]["smoke"] is True
+print(f'sim JSON ok: {len(r["smoke"]["cells"])} smoke cells, '
+      f'{r["smoke"]["mean_measure_us"]:.1f} us/measure, '
+      f'grid search {r["smoke"]["grid_search"]["ms"]:.1f} ms')
+EOF
+
 echo "== tier-1: cargo test -q =="
 cargo test -q
 
