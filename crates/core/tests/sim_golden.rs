@@ -8,8 +8,12 @@
 //! The constants were recorded before the flat cache layout replaced the
 //! per-set `Vec` model; a mismatch means a change moved simulated results,
 //! and must be justified (and the constants re-recorded) in its own change.
+//! The `WALKER_*` constants cover the trace walkers' per-strategy corners
+//! (grouped, tiled, ragged and multi-chunk rows, scalar and destination
+//! operands, edge outputs, max gathers) and were recorded on the four
+//! per-strategy trace walkers.
 
-use ugrapher_core::abstraction::OpInfo;
+use ugrapher_core::abstraction::{EdgeOp, GatherOp, OpInfo, TensorType};
 use ugrapher_core::exec::{collect_writes, measure, Fidelity, MeasureOptions};
 use ugrapher_core::plan::KernelPlan;
 use ugrapher_core::schedule::{ParallelInfo, Strategy};
@@ -25,6 +29,11 @@ const FEAT: usize = 32;
 const REPORT_DIGEST: u64 = 0xf74c_35c5_a574_9c67;
 /// Digest of every write log in [`write_matrix`], in order.
 const WRITES_DIGEST: u64 = 0x44f9_fb7a_c6e5_2d42;
+
+/// Digest of every report in [`walker_report_matrix`], in order.
+const WALKER_REPORT_DIGEST: u64 = 0xd9f3_e2b6_e82e_cf8d;
+/// Digest of every write log in [`walker_write_matrix`], in order.
+const WALKER_WRITES_DIGEST: u64 = 0xee51_0e03_ba65_48ae;
 
 /// 64-bit FNV-1a, fed one `u64` at a time (little-endian bytes).
 struct Fnv(u64);
@@ -58,6 +67,16 @@ impl Fnv {
             r.compute_cycles,
         ] {
             self.word(x.to_bits());
+        }
+    }
+
+    fn writes(&mut self, g: &Graph, plan: &KernelPlan, device: &DeviceConfig) {
+        let log = collect_writes(g, plan, device).expect("V100 is a valid device");
+        self.word(log.num_addresses() as u64);
+        self.word(log.total_writes());
+        for (addr, w) in log.contended_addresses() {
+            self.word(addr);
+            self.word(u64::from(w.total) << 32 | u64::from(w.atomic));
         }
     }
 }
@@ -140,14 +159,92 @@ fn write_matrix() -> u64 {
         }
         for (op, scalars) in &ops()[..2] {
             for p in schedules() {
-                let log = collect_writes(&g, &plan(&g, *op, *scalars, p), &device)
-                    .expect("V100 is a valid device");
-                h.word(log.num_addresses() as u64);
-                h.word(log.total_writes());
-                for (addr, w) in log.contended_addresses() {
-                    h.word(addr);
-                    h.word(u64::from(w.total) << 32 | u64::from(w.atomic));
+                h.writes(&g, &plan(&g, *op, *scalars, p), &device);
+            }
+        }
+    }
+    h.0
+}
+
+/// Feature width of the walker matrix: wider than one warp, so warp
+/// strategies sweep a row in several coalesced chunks.
+const WALKER_FEAT: usize = 80;
+
+/// Schedules that reach the trace walker's per-strategy corners:
+/// same-destination flush runs (thread-edge G16), multi-vertex lanes
+/// (thread-vertex G4), grouped and tiled warp items (warp-vertex G2/T2),
+/// atomics off tile 0 that carry no conflict group (warp-edge T2), and
+/// ragged tilings (80 features in tiles of 27, 27 and 26).
+fn walker_schedules() -> Vec<ParallelInfo> {
+    vec![
+        ParallelInfo::new(Strategy::ThreadEdge, 16, 1),
+        ParallelInfo::new(Strategy::ThreadVertex, 4, 1),
+        ParallelInfo::new(Strategy::WarpVertex, 2, 2),
+        ParallelInfo::new(Strategy::WarpEdge, 1, 2),
+        ParallelInfo::new(Strategy::ThreadVertex, 2, 3),
+        ParallelInfo::new(Strategy::WarpEdge, 4, 3),
+    ]
+}
+
+/// Operand mixes of the walker matrix: a scalar-A operand, a destination
+/// operand read alongside a source one (into a vertex and into an edge
+/// output), an edge operand, a pure source copy and a max gather.
+fn walker_ops() -> Vec<(OpInfo, (bool, bool))> {
+    let src_dst_sum = OpInfo::new(
+        EdgeOp::Add,
+        GatherOp::Sum,
+        TensorType::SrcV,
+        TensorType::DstV,
+        TensorType::DstV,
+    )
+    .expect("SrcV + DstV -> DstV sum is a legal operator");
+    vec![
+        (OpInfo::aggregation_sum(), (false, false)),
+        (OpInfo::weighted_aggregation_sum(), (true, false)),
+        (src_dst_sum, (false, false)),
+        (OpInfo::message_creation_add(), (false, false)),
+        (OpInfo::edge_aggregation_sum(), (false, false)),
+        (OpInfo::message_creation_copy_src(), (false, false)),
+        (OpInfo::aggregation_max(), (false, false)),
+    ]
+}
+
+fn walker_plan(g: &Graph, op: OpInfo, scalars: (bool, bool), p: ParallelInfo) -> KernelPlan {
+    KernelPlan::generate(op, p, g.num_vertices(), g.num_edges(), WALKER_FEAT)
+        .expect("walker schedules are legal")
+        .with_scalar_operands(scalars.0, scalars.1)
+}
+
+fn walker_graphs() -> Vec<Graph> {
+    graphs()
+        .into_iter()
+        .filter(|(name, _)| matches!(*name, "skewed" | "hub" | "single"))
+        .map(|(_, g)| g)
+        .collect()
+}
+
+fn walker_report_matrix() -> u64 {
+    let mut h = Fnv::new();
+    for fidelity in [Fidelity::Full, Fidelity::Auto] {
+        let options = MeasureOptions::new(DeviceConfig::v100()).with_fidelity(fidelity);
+        for g in walker_graphs() {
+            for (op, scalars) in walker_ops() {
+                for p in walker_schedules() {
+                    h.report(&measure(&g, &walker_plan(&g, op, scalars, p), &options));
                 }
+            }
+        }
+    }
+    h.0
+}
+
+fn walker_write_matrix() -> u64 {
+    let mut h = Fnv::new();
+    let device = DeviceConfig::v100();
+    for g in walker_graphs() {
+        for (op, scalars) in walker_ops() {
+            for p in walker_schedules() {
+                h.writes(&g, &walker_plan(&g, op, scalars, p), &device);
             }
         }
     }
@@ -169,6 +266,24 @@ fn write_logs_are_identical_to_recorded_digest() {
     assert_eq!(
         got, WRITES_DIGEST,
         "write-log digest moved: got {got:#018x}, recorded {WRITES_DIGEST:#018x}"
+    );
+}
+
+#[test]
+fn walker_reports_are_bit_identical_to_recorded_digest() {
+    let got = walker_report_matrix();
+    assert_eq!(
+        got, WALKER_REPORT_DIGEST,
+        "walker SimReport digest moved: got {got:#018x}, recorded {WALKER_REPORT_DIGEST:#018x}"
+    );
+}
+
+#[test]
+fn walker_write_logs_are_identical_to_recorded_digest() {
+    let got = walker_write_matrix();
+    assert_eq!(
+        got, WALKER_WRITES_DIGEST,
+        "walker write-log digest moved: got {got:#018x}, recorded {WALKER_WRITES_DIGEST:#018x}"
     );
 }
 
