@@ -148,7 +148,6 @@ pub fn audit_plan(graph: &Graph, plan: &KernelPlan) -> Result<StaticReport, Anal
         });
     }
     let schedule_lints = analysis::lint_schedule(
-        &plan.op,
         &plan.parallel,
         plan.feat,
         graph.num_vertices(),

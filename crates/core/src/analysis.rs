@@ -31,7 +31,7 @@
 
 use ugrapher_graph::Graph;
 
-use crate::abstraction::{GatherOp, OpInfo, TensorType};
+use crate::abstraction::{OpInfo, TensorType};
 use crate::plan::KernelPlan;
 use crate::schedule::ParallelInfo;
 use crate::CoreError;
@@ -279,7 +279,6 @@ impl std::fmt::Display for ScheduleLint {
 /// An empty result means the schedule exercises real parallelism and no
 /// knob is silently clamped.
 pub fn lint_schedule(
-    op: &OpInfo,
     parallel: &ParallelInfo,
     feat: usize,
     num_vertices: usize,
@@ -303,20 +302,13 @@ pub fn lint_schedule(
             work_units,
         });
     }
-    let _ = op; // shape-only lints today; op-specific lints slot in here
     lints
-}
-
-/// `true` when the gather op has an atomic emission form (float `max`/`min`
-/// need a compare-and-swap loop; `sum`/`mean` map to `atomicAdd`).
-pub fn has_atomic_form(gather: GatherOp) -> bool {
-    gather.is_reduction()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::abstraction::registry;
+    use crate::abstraction::{registry, GatherOp};
     use crate::schedule::Strategy;
     use ugrapher_graph::generate::uniform_random;
 
@@ -442,18 +434,15 @@ mod tests {
 
     #[test]
     fn lints_flag_clamped_and_degenerate_knobs() {
-        let op = OpInfo::aggregation_sum();
         let p = ParallelInfo::new(Strategy::ThreadEdge, 64, 64);
-        let lints = lint_schedule(&op, &p, 8, 40, 50);
+        let lints = lint_schedule(&p, 8, 40, 50);
         assert!(lints
             .iter()
             .any(|l| matches!(l, ScheduleLint::TilingExceedsFeat { .. })));
         assert!(lints
             .iter()
             .any(|l| matches!(l, ScheduleLint::GroupingExceedsWork { .. })));
-        assert!(
-            lint_schedule(&op, &ParallelInfo::basic(Strategy::ThreadEdge), 8, 40, 50).is_empty()
-        );
+        assert!(lint_schedule(&ParallelInfo::basic(Strategy::ThreadEdge), 8, 40, 50).is_empty());
         for l in &lints {
             assert!(!l.to_string().is_empty());
         }

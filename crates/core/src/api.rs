@@ -381,7 +381,9 @@ impl Runtime {
     ///
     /// Returns [`CoreError`] on invalid operators, mismatched or
     /// non-finite operands, broken graphs, illegal explicit schedules, or
-    /// an internal panic.
+    /// an internal panic, and [`CoreError::DeviceInvalid`] before any
+    /// tuning or measurement if the runtime's device fails
+    /// [`DeviceConfig::validate`].
     pub fn run(
         &self,
         graph: &GraphTensor<'_>,
@@ -448,6 +450,7 @@ impl Runtime {
         parallel: Option<ParallelInfo>,
         trace_id: u64,
     ) -> Result<UGrapherResult, CoreError> {
+        self.device.validate()?;
         if let Some(reason) = graph.validation_error() {
             return Err(CoreError::GraphInvalid {
                 reason: reason.to_owned(),
@@ -501,7 +504,6 @@ impl Runtime {
                 // knobs (clamped tiling, single-item grouping) are surfaced
                 // in the robustness report rather than silently absorbed.
                 for lint in crate::analysis::lint_schedule(
-                    &args.op,
                     &p,
                     feat,
                     graph.graph().num_vertices(),
@@ -590,7 +592,7 @@ impl Runtime {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError`] if the graph is structurally invalid, the
+    /// Returns [`CoreError`] if the device or the graph is invalid, the
     /// operator or schedule is illegal, `feat == 0`, or an internal panic
     /// was caught.
     pub fn measure_only(
@@ -617,6 +619,7 @@ impl Runtime {
         let mut span =
             self.recorder
                 .span_traced("ugrapher.measure_only", SpanKind::Runtime, trace_id);
+        self.device.validate()?;
         graph.validate()?;
         let plan =
             KernelPlan::generate(*op, parallel, graph.num_vertices(), graph.num_edges(), feat)?;

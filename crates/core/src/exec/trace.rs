@@ -1,20 +1,23 @@
 //! Schedule-faithful trace generation.
 //!
-//! For a given [`KernelPlan`], this module walks the exact loop structure
-//! the paper's code generator would emit for that schedule (paper Fig. 6)
-//! and streams the resulting warp-level memory accesses and compute cycles
-//! into the `ugrapher-sim` GPU model:
+//! For a given [`KernelPlan`], this module walks the loop structure the
+//! paper's code generator emits for that schedule (paper Fig. 6) and
+//! streams the resulting warp-level memory accesses and compute cycles into
+//! the `ugrapher-sim` GPU model. One walker serves all four strategies:
 //!
-//! * **thread-vertex / thread-edge** — each lane owns a group of
-//!   vertices/edges; feature elements are traversed sequentially per lane,
-//!   so cross-lane accesses gather from up to 32 distinct rows
-//!   ([`Access::PerLaneRows`]) and index arrays are read one element per
-//!   lane per step ([`Access::Scatter`]);
-//! * **warp-vertex / warp-edge** — each warp owns a group; lanes sweep the
-//!   feature tile, so feature rows are read in coalesced 32-lane chunks
-//!   ([`Access::Coalesced`]) and index arrays via [`Access::Broadcast`];
-//! * edge-parallel reductions update destination rows with
-//!   [`KernelSim::atomic`], tracking per-destination conflict chains.
+//! * every work item becomes a *lane*: a feature tile plus a contiguous
+//!   range of positions (CSR slots of a destination group, or edge
+//!   positions of an edge group);
+//! * **thread** strategies step 32 lanes in lockstep, so index arrays are
+//!   read one element per lane ([`Access::Scatter`]) and feature rows
+//!   gather from up to 32 distinct rows ([`Access::PerLaneRows`]);
+//!   **warp** strategies give each item a whole warp, so index words are
+//!   broadcast ([`Access::Broadcast`]) and lanes sweep the feature tile in
+//!   coalesced chunks ([`Access::Coalesced`]);
+//! * each tensor is loaded or stored at the loop level its [`Provenance`]
+//!   names (per vertex or per position), and edge-parallel reductions
+//!   update destination rows with [`KernelSim::atomic`], tracking
+//!   per-destination conflict chains.
 //!
 //! Tracing can be *sampled* ([`Fidelity::Sampled`]): only every `stride`-th
 //! block is walked and the simulator scales counts back up, which is what
@@ -24,10 +27,13 @@ use ugrapher_graph::Graph;
 use ugrapher_obs::{metrics, MetricsRegistry, Recorder, SpanKind};
 use ugrapher_sim::{Access, AddressSpace, DeviceConfig, KernelSim, LaunchConfig, SimReport};
 
+use std::borrow::Cow;
+use std::ops::Range;
+
 use crate::abstraction::TensorType;
 use crate::costs;
+use crate::ir::{provenance_of, Provenance};
 use crate::plan::KernelPlan;
-use crate::schedule::Strategy;
 
 /// Trace fidelity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,85 +143,91 @@ impl Layout {
             feat,
         }
     }
-
-    fn row_addr(&self, base: u64, row: u64, tile_off: usize) -> u64 {
-        base + (row * self.feat + tile_off as u64) * 4
-    }
 }
 
-/// One non-null input operand as the tracer sees it.
+/// One tensor the kernel touches — an input operand or the output — as the
+/// walker sees it.
 #[derive(Debug, Clone, Copy)]
-struct InputSpec {
-    ttype: TensorType,
+struct Operand {
+    /// Where the row index comes from, which fixes the loop level the
+    /// tensor is touched at ([`provenance_of`], as in `lower`).
+    prov: Provenance,
     base: u64,
-    /// One-column broadcast: the kernel loads a single 4-byte value per
-    /// row instead of a feature tile.
+    /// One-column broadcast: a single 4-byte word per row instead of a
+    /// feature tile.
     scalar: bool,
 }
 
-impl InputSpec {
-    /// Address of this operand's data for `row` at `tile_off`.
+impl Operand {
+    /// Address of this tensor's data for `row` at `tile_off`.
     fn addr(&self, lay: &Layout, row: u64, tile_off: usize) -> u64 {
         if self.scalar {
             self.base + row * 4
         } else {
-            lay.row_addr(self.base, row, tile_off)
-        }
-    }
-
-    /// Bytes one lane streams for this operand.
-    fn bytes(&self, tile_len: usize) -> u32 {
-        if self.scalar {
-            4
-        } else {
-            (tile_len * 4) as u32
-        }
-    }
-
-    /// Memory-issue cycles one lane spends loading this operand.
-    fn issue_cycles(&self, tile_len: usize) -> f64 {
-        if self.scalar {
-            crate::costs::CYCLES_PER_MEM_ISSUE
-        } else {
-            tile_len as f64 * crate::costs::CYCLES_PER_MEM_ISSUE
+            self.base + (row * lay.feat + tile_off as u64) * 4
         }
     }
 }
 
-/// The per-edge arrays an edge-parallel kernel iterates, in its iteration
-/// order (see [`Tracer::edge_view`]).
-struct EdgeView {
-    src: Vec<u32>,
+/// The per-position index arrays a kernel iterates, in its iteration
+/// order: CSR slots for vertex strategies and edge-parallel reductions,
+/// edge ids (raw COO order) for edge-output operators under edge
+/// strategies.
+struct EdgeView<'a> {
+    src: Cow<'a, [u32]>,
+    /// Destination per position; empty under vertex strategies, which take
+    /// the destination from their partition.
     dst: Vec<u32>,
-    /// Stable edge ids per position; empty in COO mode where `eid == e`.
-    eids: Vec<u32>,
-    /// Whether positions follow dst-sorted CSR slot order.
-    csr: bool,
+    /// Stable edge ids per position; `None` in COO order, where the
+    /// position is the edge id.
+    eids: Option<&'a [u32]>,
+    /// Device base address of the per-position source array.
+    src_base: u64,
+    /// Device base address of the per-position destination array (in CSR
+    /// order, the expanded slot->dst array real kernels carry alongside
+    /// the CSC structure).
+    dst_base: u64,
 }
 
-impl EdgeView {
-    fn eid(&self, e: usize) -> u64 {
-        if self.csr {
-            self.eids[e] as u64
+impl<'a> EdgeView<'a> {
+    /// Edge-parallel reductions walk *dst-sorted CSR slot order*, which
+    /// lets a lane accumulate consecutive same-destination edges in
+    /// registers and write once per destination run — the mechanism that
+    /// makes large V/E grouping effective on skewed graphs (paper Table 9's
+    /// `TE_G32/G64` optima). Edge-output operators walk raw COO order
+    /// instead, where the output write is naturally coalesced.
+    fn new(graph: &'a Graph, plan: &KernelPlan, lay: &Layout) -> Self {
+        let edge = plan.parallel.strategy.is_edge_parallel();
+        let csr = !edge || plan.op.c != TensorType::Edge;
+        let ne = graph.num_edges();
+        let mut src = if csr {
+            Cow::Borrowed(graph.in_src())
         } else {
-            e as u64
+            Cow::Owned(vec![0; ne])
+        };
+        let mut dst = vec![0; if edge { ne } else { 0 }];
+        if edge {
+            for v in 0..graph.num_vertices() {
+                for slot in graph.in_ptr()[v]..graph.in_ptr()[v + 1] {
+                    let pos = if csr {
+                        slot
+                    } else {
+                        graph.in_eid()[slot] as usize
+                    };
+                    dst[pos] = v as u32;
+                    if let Cow::Owned(src) = &mut src {
+                        src[pos] = graph.in_src()[slot];
+                    }
+                }
+            }
         }
-    }
-
-    /// Device base address of the per-position source-vertex array.
-    fn src_base(&self, lay: &Layout) -> u64 {
-        if self.csr {
-            lay.in_src
-        } else {
-            lay.coo_src
+        Self {
+            src,
+            dst,
+            eids: csr.then(|| graph.in_eid()),
+            src_base: if csr { lay.in_src } else { lay.coo_src },
+            dst_base: lay.coo_dst,
         }
-    }
-
-    /// Device base address of the per-position destination-vertex array
-    /// (for CSR order this is the expanded slot->dst array real kernels
-    /// carry alongside the CSC structure).
-    fn dst_base(&self, lay: &Layout) -> u64 {
-        lay.coo_dst
     }
 }
 
@@ -241,8 +253,10 @@ fn resolve_sampling(
     visits_per_warp: f64,
     num_sms: usize,
 ) -> (usize, usize) {
+    // A zero-SM device has no dispatch to alias with, and no stride is
+    // coprime with zero, so it takes the stride as given.
     let coprime = |mut stride: usize| {
-        while stride > 1 && gcd(stride, num_sms) != 1 {
+        while stride > 1 && num_sms > 0 && gcd(stride, num_sms) != 1 {
             stride += 1;
         }
         stride
@@ -279,6 +293,10 @@ fn resolve_sampling(
 /// The trace touches only graph *structure* (never feature values), so no
 /// operand tensors are needed — the memory behaviour of a graph operator is
 /// data-independent given the schedule.
+///
+/// # Panics
+///
+/// Panics if `plan.op` has a `Null` output, which plan generation rejects.
 ///
 /// # Example
 ///
@@ -340,15 +358,7 @@ pub fn measure(graph: &Graph, plan: &KernelPlan, options: &MeasureOptions) -> Si
         .with_replication(replication);
     let mut sim = KernelSim::new(device, launch);
 
-    let lay = Layout::build(graph, plan);
-    let tracer = Tracer {
-        graph,
-        plan,
-        lay,
-        stride,
-        warp_stride,
-    };
-    tracer.run(&mut sim);
+    Tracer::new(graph, plan, stride, warp_stride).run(&mut sim);
     let report = sim.finish();
     if span.is_enabled() {
         span.attr("schedule", plan.parallel.label())
@@ -413,714 +423,431 @@ pub fn collect_writes(
         LaunchConfig::new(plan.grid_blocks, plan.threads_per_block).with_regs(plan.regs_per_thread);
     let mut sim = KernelSim::new(device, launch);
     sim.enable_write_log()?;
-    let lay = Layout::build(graph, plan);
-    let tracer = Tracer {
-        graph,
-        plan,
-        lay,
-        stride: 1,
-        warp_stride: 1,
-    };
-    tracer.run(&mut sim);
+    Tracer::new(graph, plan, 1, 1).run(&mut sim);
     let (_report, log) = sim.finish_with_writes();
     log.ok_or_else(|| crate::CoreError::Internal {
         reason: "write log enabled but absent at finish".to_owned(),
     })
 }
 
-/// One lane's iteration state in a thread-per-item strategy.
+/// One work item as the walker sees it: a feature tile plus a contiguous
+/// range of positions (CSR slots of a destination group, or edge-view
+/// positions of an edge group).
+#[derive(Debug, Clone)]
 struct Lane {
     tile: usize,
-    tile_off: usize,
-    /// Current vertex (thread-vertex) — unused for thread-edge.
-    v: usize,
-    /// Current in-edge slot / edge id.
-    slot: usize,
-    /// End of the current vertex's slot range (thread-vertex only).
-    v_slot_end: usize,
-    /// End of the lane's whole range.
-    end: usize,
+    /// Destination vertices owned (vertex strategies; empty otherwise).
+    verts: Range<usize>,
+    pos: Range<usize>,
 }
 
+/// One active lane at one step of a segment.
+#[derive(Debug, Clone, Copy)]
+struct At {
+    tile: usize,
+    /// The position (or, for per-vertex accesses, the vertex) reached.
+    at: usize,
+    /// Whether the output is written here: always, except that an edge
+    /// reduction writes only at the end of a same-destination run, which
+    /// the lane has accumulated in registers.
+    write: bool,
+}
+
+/// How work items map onto a warp's 32 hardware lanes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mapping {
+    /// Thread strategies: 32 items step through their positions in
+    /// lockstep, each on its own rows, so index words go out as
+    /// [`Access::Scatter`] and feature rows as [`Access::PerLaneRows`].
+    Thread,
+    /// Warp strategies: one item per warp, lanes sweeping the feature tile,
+    /// so index words go out as [`Access::Broadcast`] and feature rows as
+    /// 32-word [`Access::Coalesced`] chunks.
+    Warp,
+}
+
+/// What a warp instruction does with the words it addresses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Load,
+    Store,
+    Atomic,
+}
+
+/// The single schedule walker: one block/warp loop turns work items into
+/// lanes, and every tensor access is placed by its provenance (DESIGN.md
+/// §13).
 struct Tracer<'a> {
     graph: &'a Graph,
     plan: &'a KernelPlan,
     lay: Layout,
+    view: EdgeView<'a>,
     stride: usize,
     /// Intra-block warp sampling: trace every `warp_stride`-th warp and
     /// scale the block's recorded costs back up.
     warp_stride: usize,
+    mapping: Mapping,
+    /// Non-null input operands, A before B.
+    inputs: Vec<Operand>,
+    output: Operand,
+    // The per-strategy access-order differences, kept as data:
+    /// Base addresses of the index arrays read once per position, in issue
+    /// order (source ids, destination ids, edge ids).
+    index_bases: Vec<u64>,
+    /// Vertices per segment: a thread lane walks its whole destination
+    /// group in one segment, a warp one vertex at a time; `0` under edge
+    /// strategies.
+    span: usize,
+    /// Whether per-vertex input loads precede the segment's positions
+    /// (warp) or follow them, interleaved with the stores (thread).
+    vertex_loads_first: bool,
 }
 
-impl Tracer<'_> {
-    /// Walks the plan's loop structure, dispatching on the strategy.
-    fn run(&self, sim: &mut KernelSim) {
-        match self.plan.parallel.strategy {
-            Strategy::ThreadVertex => self.thread_vertex(sim),
-            Strategy::ThreadEdge => self.thread_edge(sim),
-            Strategy::WarpVertex => self.warp_vertex(sim),
-            Strategy::WarpEdge => self.warp_edge(sim),
+impl<'a> Tracer<'a> {
+    fn new(graph: &'a Graph, plan: &'a KernelPlan, stride: usize, warp_stride: usize) -> Self {
+        let lay = Layout::build(graph, plan);
+        let view = EdgeView::new(graph, plan, &lay);
+        let strategy = plan.parallel.strategy;
+        let operand = |tensor, base, scalar| {
+            provenance_of(tensor, strategy).map(|prov| Operand { prov, base, scalar })
+        };
+        let inputs: Vec<Operand> = [
+            operand(plan.op.a, lay.a, plan.a_scalar),
+            operand(plan.op.b, lay.b, plan.b_scalar),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
+        let output =
+            operand(plan.op.c, lay.c, false).expect("validated operators have a non-Null output");
+        let uses = |prov| output.prov == prov || inputs.iter().any(|x| x.prov == prov);
+        let edge = strategy.is_edge_parallel();
+        let warp = strategy.is_warp_per_item();
+        // Index words follow provenance, except that edge strategies always
+        // read the source id and warp-edge always reads the destination id.
+        let mut index_bases = Vec::with_capacity(3);
+        if edge || uses(Provenance::SrcIndirect) {
+            index_bases.push(view.src_base);
+        }
+        if (edge && warp) || uses(Provenance::DstIndirect) {
+            index_bases.push(view.dst_base);
+        }
+        if view.eids.is_some() && uses(Provenance::EidIndirect) {
+            index_bases.push(lay.in_eid);
+        }
+        Self {
+            graph,
+            plan,
+            lay,
+            view,
+            stride,
+            warp_stride,
+            mapping: if warp { Mapping::Warp } else { Mapping::Thread },
+            inputs,
+            output,
+            index_bases,
+            span: match (edge, warp) {
+                (true, _) => 0,
+                (false, true) => 1,
+                (false, false) => plan.parallel.grouping,
+            },
+            vertex_loads_first: warp,
         }
     }
 
-    fn decode_item(&self, item: usize) -> (usize, usize) {
-        // item = tile * num_groups + group, so consecutive items are
-        // consecutive groups of the same tile (coalesced-friendly).
-        (item / self.plan.num_groups, item % self.plan.num_groups)
+    /// Walks the sampled blocks and warps of the grid.
+    fn run(&self, sim: &mut KernelSim) {
+        let plan = self.plan;
+        let wpb = plan.threads_per_block / 32;
+        let scale = wpb as f64 / wpb.div_ceil(self.warp_stride).max(1) as f64;
+        let items_per_warp = match self.mapping {
+            Mapping::Thread => 32,
+            Mapping::Warp => 1,
+        };
+        let mut lanes = Vec::with_capacity(items_per_warp);
+        let mut at = Vec::with_capacity(items_per_warp);
+        for block in (0..plan.grid_blocks).step_by(self.stride) {
+            sim.begin_block_scaled(block as u32, scale);
+            for w in (0..wpb).step_by(self.warp_stride) {
+                let first = (block * wpb + w) * items_per_warp;
+                if first >= plan.num_items {
+                    break;
+                }
+                // Thread lanes that own no work drop out; a warp item always
+                // pays its bookkeeping.
+                lanes.clear();
+                for item in first..(first + items_per_warp).min(plan.num_items) {
+                    let lane = self.lane(item);
+                    if self.mapping == Mapping::Warp
+                        || !(lane.verts.is_empty() && lane.pos.is_empty())
+                    {
+                        lanes.push(lane);
+                    }
+                }
+                self.warp(sim, &lanes, &mut at);
+            }
+            sim.end_block();
+        }
+    }
+
+    /// The lane of work item `item = tile * num_groups + group`, so
+    /// consecutive items are consecutive groups of the same tile.
+    fn lane(&self, item: usize) -> Lane {
+        let plan = self.plan;
+        let (tile, group) = (item / plan.num_groups, item % plan.num_groups);
+        let grp = plan.parallel.grouping;
+        let owned = |units: usize| (group * grp).min(units)..((group + 1) * grp).min(units);
+        if plan.parallel.strategy.is_edge_parallel() {
+            let pos = owned(self.graph.num_edges());
+            Lane {
+                tile,
+                verts: 0..0,
+                pos,
+            }
+        } else {
+            let verts = owned(self.graph.num_vertices());
+            let in_ptr = self.graph.in_ptr();
+            Lane {
+                tile,
+                pos: in_ptr[verts.start]..in_ptr[verts.end],
+                verts,
+            }
+        }
+    }
+
+    /// Traces one warp's lanes: one segment for thread lanes and edge
+    /// items, one per vertex for a warp-vertex item.
+    fn warp(&self, sim: &mut KernelSim, lanes: &[Lane], at: &mut Vec<At>) {
+        let Some(first) = lanes.first() else {
+            return;
+        };
+        let tile_len = (self.plan.feat - self.tile_off(first.tile)).min(self.plan.tile_size);
+        let mut overhead = 0.0;
+        if self.plan.parallel.grouping > 1 {
+            overhead += costs::CYCLES_GROUP_OVERHEAD;
+        }
+        if self.plan.tile_count > 1 {
+            overhead += costs::CYCLES_TILE_OVERHEAD;
+        }
+        sim.compute(overhead);
+        if self.mapping == Mapping::Warp && self.span > 0 {
+            let in_ptr = self.graph.in_ptr();
+            for v in first.verts.clone() {
+                let lane = Lane {
+                    tile: first.tile,
+                    verts: v..v + 1,
+                    pos: in_ptr[v]..in_ptr[v + 1],
+                };
+                self.segment(sim, &[lane], tile_len, at);
+            }
+        } else {
+            self.segment(sim, lanes, tile_len, at);
+        }
+    }
+
+    /// Walks one segment with all its lanes in lockstep: the CSR offsets
+    /// of its vertices, then one step per position, with the per-vertex
+    /// (`DstPartition`) loads and stores around the steps.
+    fn segment(&self, sim: &mut KernelSim, lanes: &[Lane], tile_len: usize, at: &mut Vec<At>) {
+        if self.span > 0 {
+            // The segment's vertex offsets plus the end offset, 8 bytes each.
+            let bytes = (self.span as u32 + 1) * 8;
+            let ptr = |l: &Lane| self.lay.in_ptr + l.verts.start as u64 * 8;
+            sim.load(match self.mapping {
+                Mapping::Thread => Access::PerLaneRows {
+                    bases: lanes.iter().map(ptr).collect(),
+                    bytes,
+                },
+                Mapping::Warp => Access::Coalesced {
+                    base: ptr(&lanes[0]),
+                    lanes: bytes / 4,
+                },
+            });
+            sim.compute(costs::CYCLES_PER_MEM_ISSUE);
+        }
+        if self.vertex_loads_first {
+            self.per_vertex(sim, lanes, tile_len, at, true, false);
+        }
+        let arith = self.issues(tile_len) as f64 * self.plan.arith_per_element();
+        let dst = &self.view.dst;
+        let steps = lanes.iter().map(|l| l.pos.len()).max().unwrap_or(0);
+        for s in 0..steps {
+            at.clear();
+            for l in lanes {
+                let p = l.pos.start + s;
+                if p < l.pos.end {
+                    let write = self.output.prov != Provenance::DstIndirect
+                        || p + 1 >= l.pos.end
+                        || dst[p + 1] != dst[p];
+                    at.push(At {
+                        tile: l.tile,
+                        at: p,
+                        write,
+                    });
+                }
+            }
+            let mut cycles = costs::CYCLES_LOOP + arith * costs::CYCLES_PER_ARITH;
+            for &base in &self.index_bases {
+                cycles += self.index(sim, at, |a| base + a.at as u64 * 4);
+            }
+            for x in &self.inputs {
+                if x.prov != Provenance::DstPartition {
+                    cycles += self.load(sim, x, at, tile_len);
+                }
+            }
+            if self.output.prov != Provenance::DstPartition {
+                cycles += self.store(sim, at, tile_len);
+            }
+            sim.compute(cycles);
+        }
+        self.per_vertex(sim, lanes, tile_len, at, !self.vertex_loads_first, true);
+    }
+
+    /// Touches the `DstPartition` inputs (if `loads`) and output (if
+    /// `stores`) at each of the segment's vertices in turn.
+    fn per_vertex(
+        &self,
+        sim: &mut KernelSim,
+        lanes: &[Lane],
+        tile_len: usize,
+        at: &mut Vec<At>,
+        loads: bool,
+        stores: bool,
+    ) {
+        for vs in 0..self.span {
+            at.clear();
+            for l in lanes {
+                if l.verts.start + vs < l.verts.end {
+                    at.push(At {
+                        tile: l.tile,
+                        at: l.verts.start + vs,
+                        write: true,
+                    });
+                }
+            }
+            if at.is_empty() {
+                break;
+            }
+            let mut cycles = 0.0;
+            if loads {
+                for x in &self.inputs {
+                    if x.prov == Provenance::DstPartition {
+                        cycles += self.load(sim, x, at, tile_len);
+                    }
+                }
+            }
+            if stores && self.output.prov == Provenance::DstPartition {
+                cycles += self.store(sim, at, tile_len);
+            }
+            sim.compute(cycles);
+        }
+    }
+
+    /// The row a `prov` access touches at `at`: a position for indirect
+    /// rows, the vertex itself for partition rows.
+    fn row(&self, prov: Provenance, at: usize) -> u64 {
+        match prov {
+            Provenance::DstPartition => at as u64,
+            Provenance::SrcIndirect => u64::from(self.view.src[at]),
+            Provenance::DstIndirect => u64::from(self.view.dst[at]),
+            Provenance::EidIndirect => self.view.eids.map_or(at as u64, |e| u64::from(e[at])),
+        }
     }
 
     fn tile_off(&self, tile: usize) -> usize {
         tile * self.plan.tile_size
     }
 
-    fn tile_len(&self, tile: usize) -> usize {
-        (self.plan.feat - self.tile_off(tile)).min(self.plan.tile_size)
-    }
-
-    /// Each non-null input operand.
-    fn inputs(&self) -> Vec<InputSpec> {
-        let mut v = Vec::with_capacity(2);
-        if self.plan.op.a != TensorType::Null {
-            v.push(InputSpec {
-                ttype: self.plan.op.a,
-                base: self.lay.a,
-                scalar: self.plan.a_scalar,
-            });
+    /// Instructions one lane issues per `words`-word row: one per word
+    /// for a thread, one per 32-word chunk for a warp.
+    fn issues(&self, words: usize) -> usize {
+        match self.mapping {
+            Mapping::Thread => words,
+            Mapping::Warp => words.div_ceil(32),
         }
-        if self.plan.op.b != TensorType::Null {
-            v.push(InputSpec {
-                ttype: self.plan.op.b,
-                base: self.lay.b,
-                scalar: self.plan.b_scalar,
-            });
-        }
-        v
     }
 
-    fn needs_eid(&self) -> bool {
-        self.plan.op.reads_edge() || self.plan.op.c == TensorType::Edge
+    fn addr(&self, x: &Operand, a: &At) -> u64 {
+        x.addr(&self.lay, self.row(x.prov, a.at), self.tile_off(a.tile))
     }
 
-    /// Iteration order for edge-parallel strategies: reductions walk edges
-    /// in dst-sorted CSR slot order (register accumulation over
-    /// same-destination runs, coalesced index arrays); edge-output
-    /// operators walk raw COO order (coalesced output writes).
-    fn edge_view(&self) -> EdgeView {
-        if self.plan.op.c != TensorType::Edge {
-            let g = self.graph;
-            let mut dst = vec![0u32; g.num_edges()];
-            for v in 0..g.num_vertices() {
-                dst[g.in_ptr()[v]..g.in_ptr()[v + 1]].fill(v as u32);
-            }
-            EdgeView {
-                src: g.in_src().to_vec(),
-                dst,
-                eids: g.in_eid().to_vec(),
-                csr: true,
-            }
+    /// Loads input `x` at every active lane; a warp reads a scalar operand
+    /// as one broadcast word.
+    fn load(&self, sim: &mut KernelSim, x: &Operand, at: &[At], tile_len: usize) -> f64 {
+        if x.scalar && self.mapping == Mapping::Warp {
+            self.index(sim, at, |a| self.addr(x, a))
         } else {
-            let coo = self.graph.to_coo();
-            EdgeView {
-                src: coo.src().to_vec(),
-                dst: coo.dst().to_vec(),
-                eids: Vec::new(),
-                csr: false,
-            }
+            let words = if x.scalar { 1 } else { tile_len };
+            self.rows(sim, Kind::Load, x, at, words)
         }
     }
 
-    /// Warps of one block to trace, honouring the warp stride.
-    fn traced_warps(&self, wpb: usize) -> Vec<usize> {
-        (0..wpb).step_by(self.warp_stride).collect()
-    }
-
-    /// The cost scale compensating for skipped warps.
-    fn warp_scale(&self, wpb: usize) -> f64 {
-        let traced = wpb.div_ceil(self.warp_stride).max(1);
-        wpb as f64 / traced as f64
-    }
-
-    fn item_overhead(&self) -> f64 {
-        let mut c = 0.0;
-        if self.plan.parallel.grouping > 1 {
-            c += costs::CYCLES_GROUP_OVERHEAD;
-        }
-        if self.plan.tile_count > 1 {
-            c += costs::CYCLES_TILE_OVERHEAD;
-        }
-        c
-    }
-
-    // ---------------------------------------------------------- thread-vertex
-
-    fn thread_vertex(&self, sim: &mut KernelSim) {
-        let plan = self.plan;
-        let g = self.graph;
-        let nv = g.num_vertices();
-        let grp = plan.parallel.grouping;
-        let tpb = plan.threads_per_block;
-        let wpb = tpb / 32;
-        let inputs = self.inputs();
-        let dst_inputs: Vec<InputSpec> = inputs
-            .iter()
-            .filter(|i| i.ttype == TensorType::DstV)
-            .copied()
-            .collect();
-        let edge_inputs: Vec<InputSpec> = inputs
-            .iter()
-            .filter(|i| i.ttype != TensorType::DstV)
-            .copied()
-            .collect();
-        let reads_src = plan.op.reads_src();
-        let needs_eid = self.needs_eid();
-        let out_is_edge = plan.op.c == TensorType::Edge;
-
-        let mut block = 0;
-        while block < plan.grid_blocks {
-            sim.begin_block_scaled(block as u32, self.warp_scale(wpb));
-            for w in self.traced_warps(wpb) {
-                let item0 = block * tpb + w * 32;
-                if item0 >= plan.num_items {
-                    break;
-                }
-                let mut lanes: Vec<Lane> = Vec::with_capacity(32);
-                let mut ptr_bases = Vec::with_capacity(32);
-                for item in item0..(item0 + 32).min(plan.num_items) {
-                    let (tile, gidx) = self.decode_item(item);
-                    let vstart = (gidx * grp).min(nv);
-                    let vend = ((gidx + 1) * grp).min(nv);
-                    if vstart >= vend {
-                        continue;
-                    }
-                    ptr_bases.push(self.lay.in_ptr + vstart as u64 * 8);
-                    lanes.push(Lane {
-                        tile,
-                        tile_off: self.tile_off(tile),
-                        v: vstart,
-                        slot: g.in_ptr()[vstart],
-                        v_slot_end: g.in_ptr()[vstart + 1],
-                        end: g.in_ptr()[vend],
-                    });
-                }
-                if lanes.is_empty() {
-                    continue;
-                }
-                let tile_len = self.tile_len(lanes[0].tile);
-                sim.load(Access::PerLaneRows {
-                    bases: ptr_bases,
-                    bytes: ((grp + 1) * 8) as u32,
-                });
-                sim.compute(costs::CYCLES_PER_MEM_ISSUE + self.item_overhead());
-
-                // Edge loop, all lanes in lockstep.
-                loop {
-                    let mut idx_addrs = Vec::new();
-                    let mut eid_addrs = Vec::new();
-                    let mut in_bases: Vec<Vec<u64>> =
-                        edge_inputs.iter().map(|_| Vec::new()).collect();
-                    let mut store_bases = Vec::new();
-                    let mut active = 0usize;
-                    for lane in &mut lanes {
-                        if lane.slot >= lane.end {
-                            continue;
-                        }
-                        while lane.slot >= lane.v_slot_end {
-                            lane.v += 1;
-                            lane.v_slot_end = g.in_ptr()[lane.v + 1];
-                        }
-                        let src = g.in_src()[lane.slot] as u64;
-                        let eid = g.in_eid()[lane.slot] as u64;
-                        if reads_src {
-                            idx_addrs.push(self.lay.in_src + lane.slot as u64 * 4);
-                        }
-                        if needs_eid {
-                            eid_addrs.push(self.lay.in_eid + lane.slot as u64 * 4);
-                        }
-                        for (k, input) in edge_inputs.iter().enumerate() {
-                            let row = match input.ttype {
-                                TensorType::SrcV => src,
-                                TensorType::Edge => eid,
-                                _ => unreachable!("DstV handled per vertex"),
-                            };
-                            in_bases[k].push(input.addr(&self.lay, row, lane.tile_off));
-                        }
-                        if out_is_edge {
-                            store_bases.push(self.lay.row_addr(self.lay.c, eid, lane.tile_off));
-                        }
-                        lane.slot += 1;
-                        active += 1;
-                    }
-                    if active == 0 {
-                        break;
-                    }
-                    if !idx_addrs.is_empty() {
-                        sim.load(Access::Scatter { addrs: idx_addrs });
-                        sim.compute(costs::CYCLES_PER_MEM_ISSUE);
-                    }
-                    if !eid_addrs.is_empty() {
-                        sim.load(Access::Scatter { addrs: eid_addrs });
-                        sim.compute(costs::CYCLES_PER_MEM_ISSUE);
-                    }
-                    let mut cyc = costs::CYCLES_LOOP
-                        + tile_len as f64 * plan.arith_per_element() * costs::CYCLES_PER_ARITH;
-                    for (k, bases) in in_bases.into_iter().enumerate() {
-                        if !bases.is_empty() {
-                            sim.load(Access::PerLaneRows {
-                                bases,
-                                bytes: edge_inputs[k].bytes(tile_len),
-                            });
-                            cyc += edge_inputs[k].issue_cycles(tile_len);
-                        }
-                    }
-                    if !store_bases.is_empty() {
-                        sim.store(Access::PerLaneRows {
-                            bases: store_bases,
-                            bytes: (tile_len * 4) as u32,
-                        });
-                        cyc += tile_len as f64 * costs::CYCLES_PER_MEM_ISSUE;
-                    }
-                    sim.compute(cyc);
-                }
-
-                // Per-vertex epilogue: DstV input loads + output stores
-                // (accumulators live in registers during the edge loop).
-                if !out_is_edge || !dst_inputs.is_empty() {
-                    for vs in 0..grp {
-                        let mut bases = Vec::new();
-                        for item in item0..(item0 + 32).min(plan.num_items) {
-                            let (tile, gidx) = self.decode_item(item);
-                            let v = gidx * grp + vs;
-                            if v < ((gidx + 1) * grp).min(nv) && v < nv {
-                                bases.push(self.lay.row_addr(
-                                    self.lay.c,
-                                    v as u64,
-                                    self.tile_off(tile),
-                                ));
-                            }
-                        }
-                        if bases.is_empty() {
-                            break;
-                        }
-                        for input in &dst_inputs {
-                            let mut in_rows = Vec::with_capacity(bases.len());
-                            for item in item0..(item0 + 32).min(plan.num_items) {
-                                let (tile, gidx) = self.decode_item(item);
-                                let v = gidx * grp + vs;
-                                if v < ((gidx + 1) * grp).min(nv) && v < nv {
-                                    in_rows.push(input.addr(
-                                        &self.lay,
-                                        v as u64,
-                                        self.tile_off(tile),
-                                    ));
-                                }
-                            }
-                            sim.load(Access::PerLaneRows {
-                                bases: in_rows,
-                                bytes: input.bytes(tile_len),
-                            });
-                            sim.compute(input.issue_cycles(tile_len));
-                        }
-                        if !out_is_edge {
-                            sim.store(Access::PerLaneRows {
-                                bases,
-                                bytes: (tile_len * 4) as u32,
-                            });
-                            sim.compute(tile_len as f64 * costs::CYCLES_PER_MEM_ISSUE);
-                        }
-                    }
-                }
-            }
-            sim.end_block();
-            block += self.stride;
-        }
-    }
-
-    // ------------------------------------------------------------ thread-edge
-
-    /// Edge-parallel kernels iterate reductions in *dst-sorted (CSR) slot
-    /// order*, which lets a thread accumulate consecutive same-destination
-    /// edges in registers and issue one atomic per destination run — the
-    /// mechanism that makes large V/E grouping effective on skewed graphs
-    /// (paper Table 9's `TE_G32/G64` optima). Edge-output operators
-    /// (message creation) iterate raw COO order instead, where the output
-    /// write is naturally coalesced.
-    fn thread_edge(&self, sim: &mut KernelSim) {
-        let plan = self.plan;
-        let g = self.graph;
-        let ne = g.num_edges();
-        let grp = plan.parallel.grouping;
-        let tpb = plan.threads_per_block;
-        let wpb = tpb / 32;
-        let view = self.edge_view();
-        let inputs = self.inputs();
-        let out_is_edge = plan.op.c == TensorType::Edge;
-        let needs_dst = !out_is_edge || inputs.iter().any(|i| i.ttype == TensorType::DstV);
-        let needs_eid_load = view.csr && self.needs_eid();
-
-        let mut block = 0;
-        while block < plan.grid_blocks {
-            sim.begin_block_scaled(block as u32, self.warp_scale(wpb));
-            for w in self.traced_warps(wpb) {
-                let item0 = block * tpb + w * 32;
-                if item0 >= plan.num_items {
-                    break;
-                }
-                let lane_items: Vec<(usize, usize, usize)> = (item0
-                    ..(item0 + 32).min(plan.num_items))
-                    .map(|item| {
-                        let (tile, gidx) = self.decode_item(item);
-                        (tile, (gidx * grp).min(ne), ((gidx + 1) * grp).min(ne))
-                    })
-                    .filter(|&(_, s, e)| s < e)
-                    .collect();
-                if lane_items.is_empty() {
-                    continue;
-                }
-                let tile_len = self.tile_len(lane_items[0].0);
-                sim.compute(self.item_overhead());
-
-                for s in 0..grp {
-                    let mut src_addrs = Vec::new();
-                    let mut dst_addrs = Vec::new();
-                    let mut eid_addrs = Vec::new();
-                    let mut in_bases: Vec<Vec<u64>> = inputs.iter().map(|_| Vec::new()).collect();
-                    let mut store_bases = Vec::new();
-                    let mut conflict_groups = Vec::new();
-                    let mut active = 0usize;
-                    for &(tile, estart, eend) in &lane_items {
-                        let e = estart + s;
-                        if e >= eend {
-                            continue;
-                        }
-                        active += 1;
-                        let src = view.src[e] as u64;
-                        let dst = view.dst[e] as u64;
-                        let eid = view.eid(e);
-                        let tile_off = self.tile_off(tile);
-                        src_addrs.push(view.src_base(&self.lay) + e as u64 * 4);
-                        if needs_dst {
-                            dst_addrs.push(view.dst_base(&self.lay) + e as u64 * 4);
-                        }
-                        if needs_eid_load {
-                            eid_addrs.push(self.lay.in_eid + e as u64 * 4);
-                        }
-                        for (k, input) in inputs.iter().enumerate() {
-                            let row = match input.ttype {
-                                TensorType::SrcV => src,
-                                TensorType::DstV => dst,
-                                TensorType::Edge => eid,
-                                TensorType::Null => unreachable!(),
-                            };
-                            in_bases[k].push(input.addr(&self.lay, row, tile_off));
-                        }
-                        if out_is_edge {
-                            store_bases.push(self.lay.row_addr(self.lay.c, eid, tile_off));
-                        } else {
-                            // Register accumulation: flush only at the end
-                            // of a same-destination run (or of the group).
-                            let flush = e + 1 >= eend || view.dst[e + 1] as u64 != dst;
-                            if flush {
-                                store_bases.push(self.lay.row_addr(self.lay.c, dst, tile_off));
-                                if plan.needs_atomic && tile == 0 {
-                                    conflict_groups.push(dst);
-                                }
-                            }
-                        }
-                    }
-                    if active == 0 {
-                        break;
-                    }
-                    sim.load(Access::Scatter { addrs: src_addrs });
-                    let mut cyc = costs::CYCLES_LOOP
-                        + costs::CYCLES_PER_MEM_ISSUE
-                        + tile_len as f64 * plan.arith_per_element() * costs::CYCLES_PER_ARITH;
-                    if !dst_addrs.is_empty() {
-                        sim.load(Access::Scatter { addrs: dst_addrs });
-                        cyc += costs::CYCLES_PER_MEM_ISSUE;
-                    }
-                    if !eid_addrs.is_empty() {
-                        sim.load(Access::Scatter { addrs: eid_addrs });
-                        cyc += costs::CYCLES_PER_MEM_ISSUE;
-                    }
-                    for (k, bases) in in_bases.into_iter().enumerate() {
-                        if !bases.is_empty() {
-                            sim.load(Access::PerLaneRows {
-                                bases,
-                                bytes: inputs[k].bytes(tile_len),
-                            });
-                            cyc += inputs[k].issue_cycles(tile_len);
-                        }
-                    }
-                    if !store_bases.is_empty() {
-                        if plan.needs_atomic {
-                            sim.atomic(
-                                Access::PerLaneRows {
-                                    bases: store_bases,
-                                    bytes: (tile_len * 4) as u32,
-                                },
-                                conflict_groups,
-                            );
-                            // One warp-level atomic sequence per step in
-                            // which any lane flushes (SIMT: the instruction
-                            // issues once for all flushing lanes).
-                            cyc += tile_len as f64
-                                * (costs::CYCLES_PER_MEM_ISSUE + costs::CYCLES_ATOMIC_ISSUE);
-                        } else {
-                            sim.store(Access::PerLaneRows {
-                                bases: store_bases,
-                                bytes: (tile_len * 4) as u32,
-                            });
-                            cyc += tile_len as f64 * costs::CYCLES_PER_MEM_ISSUE;
-                        }
-                    }
-                    sim.compute(cyc);
-                }
-            }
-            sim.end_block();
-            block += self.stride;
-        }
-    }
-
-    // ------------------------------------------------------------ warp-vertex
-
-    fn warp_vertex(&self, sim: &mut KernelSim) {
-        let plan = self.plan;
-        let g = self.graph;
-        let nv = g.num_vertices();
-        let grp = plan.parallel.grouping;
-        let wpb = plan.threads_per_block / 32;
-        let inputs = self.inputs();
-        let reads_src = plan.op.reads_src();
-        let needs_eid = self.needs_eid();
-        let out_is_edge = plan.op.c == TensorType::Edge;
-
-        let mut block = 0;
-        while block < plan.grid_blocks {
-            sim.begin_block_scaled(block as u32, self.warp_scale(wpb));
-            for w in self.traced_warps(wpb) {
-                let item = block * wpb + w;
-                if item >= plan.num_items {
-                    break;
-                }
-                let (tile, gidx) = self.decode_item(item);
-                let tile_off = self.tile_off(tile);
-                let tile_len = self.tile_len(tile);
-                let vstart = (gidx * grp).min(nv);
-                let vend = ((gidx + 1) * grp).min(nv);
-                sim.compute(self.item_overhead());
-
-                for v in vstart..vend {
-                    sim.load(Access::Coalesced {
-                        base: self.lay.in_ptr + v as u64 * 8,
-                        lanes: 4, // two 8-byte offsets
-                    });
-                    sim.compute(costs::CYCLES_PER_MEM_ISSUE);
-                    for input in &inputs {
-                        if input.ttype == TensorType::DstV {
-                            self.warp_input(sim, input, v as u64, tile_off, tile_len);
-                        }
-                    }
-                    for slot in g.in_ptr()[v]..g.in_ptr()[v + 1] {
-                        let src = g.in_src()[slot];
-                        let eid = g.in_eid()[slot];
-                        let mut cyc = costs::CYCLES_LOOP;
-                        if reads_src {
-                            sim.load(Access::Broadcast {
-                                addr: self.lay.in_src + slot as u64 * 4,
-                            });
-                            cyc += costs::CYCLES_PER_MEM_ISSUE;
-                        }
-                        if needs_eid {
-                            sim.load(Access::Broadcast {
-                                addr: self.lay.in_eid + slot as u64 * 4,
-                            });
-                            cyc += costs::CYCLES_PER_MEM_ISSUE;
-                        }
-                        let chunks = tile_len.div_ceil(32) as f64;
-                        cyc += chunks * plan.arith_per_element() * costs::CYCLES_PER_ARITH;
-                        sim.compute(cyc);
-                        for input in &inputs {
-                            let row = match input.ttype {
-                                TensorType::SrcV => src as u64,
-                                TensorType::Edge => eid as u64,
-                                TensorType::DstV => continue, // loaded per vertex
-                                TensorType::Null => unreachable!(),
-                            };
-                            self.warp_input(sim, input, row, tile_off, tile_len);
-                        }
-                        if out_is_edge {
-                            self.warp_row(
-                                sim, self.lay.c, eid as u64, tile_off, tile_len, true, None,
-                            );
-                        }
-                    }
-                    if !out_is_edge {
-                        self.warp_row(sim, self.lay.c, v as u64, tile_off, tile_len, true, None);
-                    }
-                }
-            }
-            sim.end_block();
-            block += self.stride;
-        }
-    }
-
-    // -------------------------------------------------------------- warp-edge
-
-    /// Warp-edge iterates the same order as thread-edge (CSR slots for
-    /// reductions, COO for edge outputs) with lanes across the feature
-    /// tile; same-destination runs accumulate in registers and flush one
-    /// atomic per run.
-    fn warp_edge(&self, sim: &mut KernelSim) {
-        let plan = self.plan;
-        let g = self.graph;
-        let ne = g.num_edges();
-        let grp = plan.parallel.grouping;
-        let wpb = plan.threads_per_block / 32;
-        let view = self.edge_view();
-        let inputs = self.inputs();
-        let out_is_edge = plan.op.c == TensorType::Edge;
-        let needs_eid_load = view.csr && self.needs_eid();
-
-        let mut block = 0;
-        while block < plan.grid_blocks {
-            sim.begin_block_scaled(block as u32, self.warp_scale(wpb));
-            for w in self.traced_warps(wpb) {
-                let item = block * wpb + w;
-                if item >= plan.num_items {
-                    break;
-                }
-                let (tile, gidx) = self.decode_item(item);
-                let tile_off = self.tile_off(tile);
-                let tile_len = self.tile_len(tile);
-                let estart = (gidx * grp).min(ne);
-                let eend = ((gidx + 1) * grp).min(ne);
-                sim.compute(self.item_overhead());
-
-                for e in estart..eend {
-                    let src = view.src[e] as u64;
-                    let dst = view.dst[e] as u64;
-                    let eid = view.eid(e);
-                    sim.load(Access::Broadcast {
-                        addr: view.src_base(&self.lay) + e as u64 * 4,
-                    });
-                    sim.load(Access::Broadcast {
-                        addr: view.dst_base(&self.lay) + e as u64 * 4,
-                    });
-                    if needs_eid_load {
-                        sim.load(Access::Broadcast {
-                            addr: self.lay.in_eid + e as u64 * 4,
-                        });
-                        sim.compute(costs::CYCLES_PER_MEM_ISSUE);
-                    }
-                    let chunks = tile_len.div_ceil(32) as f64;
-                    sim.compute(
-                        costs::CYCLES_LOOP
-                            + 2.0 * costs::CYCLES_PER_MEM_ISSUE
-                            + chunks * plan.arith_per_element() * costs::CYCLES_PER_ARITH,
-                    );
-                    for input in &inputs {
-                        let row = match input.ttype {
-                            TensorType::SrcV => src,
-                            TensorType::DstV => dst,
-                            TensorType::Edge => eid,
-                            TensorType::Null => unreachable!(),
-                        };
-                        self.warp_input(sim, input, row, tile_off, tile_len);
-                    }
-                    if out_is_edge {
-                        self.warp_row(sim, self.lay.c, eid, tile_off, tile_len, true, None);
-                    } else {
-                        // Flush the register accumulator at the end of a
-                        // same-destination run.
-                        let flush = e + 1 >= eend || view.dst[e + 1] as u64 != dst;
-                        if flush {
-                            let group = if plan.needs_atomic && tile == 0 {
-                                Some(dst)
-                            } else {
-                                None
-                            };
-                            self.warp_row(
-                                sim,
-                                self.lay.c,
-                                dst,
-                                tile_off,
-                                tile_len,
-                                true,
-                                Some(group),
-                            );
-                        }
-                    }
-                }
-            }
-            sim.end_block();
-            block += self.stride;
-        }
-    }
-
-    /// Emits the load of one input operand by a warp: a single broadcast
-    /// for scalar operands, a coalesced tile sweep otherwise.
-    fn warp_input(
-        &self,
-        sim: &mut KernelSim,
-        input: &InputSpec,
-        row: u64,
-        tile_off: usize,
-        tile_len: usize,
-    ) {
-        if input.scalar {
-            sim.load(Access::Broadcast {
-                addr: input.addr(&self.lay, row, tile_off),
-            });
-            sim.compute(costs::CYCLES_PER_MEM_ISSUE);
+    /// Writes the output at every lane that writes this step, atomically
+    /// when the plan needs it.
+    fn store(&self, sim: &mut KernelSim, at: &[At], tile_len: usize) -> f64 {
+        let kind = if self.plan.needs_atomic {
+            Kind::Atomic
         } else {
-            self.warp_row(sim, input.base, row, tile_off, tile_len, false, None);
-        }
+            Kind::Store
+        };
+        self.rows(sim, kind, &self.output, at, tile_len)
     }
 
-    /// Emits a coalesced warp sweep over one feature-row tile. `atomic` is
-    /// `Some(group)` for atomic updates (with an optional conflict group on
-    /// the first chunk).
-    #[allow(clippy::too_many_arguments)]
-    fn warp_row(
-        &self,
-        sim: &mut KernelSim,
-        base: u64,
-        row: u64,
-        tile_off: usize,
-        tile_len: usize,
-        is_store: bool,
-        atomic: Option<Option<u64>>,
-    ) {
-        let mut off = 0usize;
-        let mut first = true;
-        while off < tile_len {
-            let lanes = (tile_len - off).min(32) as u32;
-            let access = Access::Coalesced {
-                base: self.lay.row_addr(base, row, tile_off + off),
-                lanes,
-            };
-            match atomic {
-                Some(group) => {
-                    let groups: Vec<u64> = if first {
-                        group.into_iter().collect()
-                    } else {
-                        vec![]
+    /// Reads one index word per active lane.
+    fn index(&self, sim: &mut KernelSim, at: &[At], addr: impl Fn(&At) -> u64) -> f64 {
+        sim.load(match self.mapping {
+            Mapping::Thread => Access::Scatter {
+                addrs: at.iter().map(addr).collect(),
+            },
+            Mapping::Warp => Access::Broadcast { addr: addr(&at[0]) },
+        });
+        costs::CYCLES_PER_MEM_ISSUE
+    }
+
+    /// Issues `words` consecutive words of `x` per lane taking part (every
+    /// lane for a load, the writing lanes for a store), or nothing if none
+    /// does. A warp splits the row into 32-word chunks; atomics carry the
+    /// tile-0 lanes' rows as conflict groups, on a warp's first chunk.
+    fn rows(&self, sim: &mut KernelSim, kind: Kind, x: &Operand, at: &[At], words: usize) -> f64 {
+        let lanes = at.iter().filter(|a| kind == Kind::Load || a.write);
+        let mut groups = lanes
+            .clone()
+            .filter(|a| a.tile == 0)
+            .map(|a| self.row(x.prov, a.at));
+        let mut issue = |sim: &mut KernelSim, access| match kind {
+            Kind::Load => sim.load(access),
+            Kind::Store => sim.store(access),
+            Kind::Atomic => sim.atomic(access, &mut groups),
+        };
+        match self.mapping {
+            Mapping::Thread => {
+                let mut bases = Vec::with_capacity(at.len());
+                bases.extend(lanes.map(|a| self.addr(x, a)));
+                if bases.is_empty() {
+                    return 0.0;
+                }
+                let bytes = (words * 4) as u32;
+                issue(sim, Access::PerLaneRows { bases, bytes });
+            }
+            Mapping::Warp => {
+                let Some(a) = lanes.clone().next() else {
+                    return 0.0;
+                };
+                let base = self.addr(x, a);
+                for off in (0..words).step_by(32) {
+                    let access = Access::Coalesced {
+                        base: base + off as u64 * 4,
+                        lanes: (words - off).min(32) as u32,
                     };
-                    sim.atomic(access, groups);
-                    sim.compute(costs::CYCLES_PER_MEM_ISSUE + costs::CYCLES_ATOMIC_ISSUE);
-                }
-                None => {
-                    if is_store {
-                        sim.store(access);
-                    } else {
-                        sim.load(access);
-                    }
-                    sim.compute(costs::CYCLES_PER_MEM_ISSUE);
+                    issue(sim, access);
                 }
             }
-            off += 32;
-            first = false;
         }
+        let mut cycles = costs::CYCLES_PER_MEM_ISSUE;
+        if kind == Kind::Atomic {
+            cycles += costs::CYCLES_ATOMIC_ISSUE;
+        }
+        self.issues(words) as f64 * cycles
     }
 }
 
@@ -1128,7 +855,7 @@ impl Tracer<'_> {
 mod tests {
     use super::*;
     use crate::abstraction::OpInfo;
-    use crate::schedule::ParallelInfo;
+    use crate::schedule::{ParallelInfo, Strategy};
     use ugrapher_graph::generate::{uniform_random, GraphSpec};
 
     fn v100() -> MeasureOptions {
@@ -1348,6 +1075,17 @@ mod tests {
         let (s, _) = resolve_sampling(Fidelity::Auto, 1_000_000, 8, 32.0, 80);
         assert!(s > 1);
         assert_eq!(gcd(s, 80), 1);
+    }
+
+    #[test]
+    fn sampling_resolution_terminates_without_sms() {
+        // No stride is coprime with zero; the requested stride is kept.
+        assert_eq!(
+            resolve_sampling(Fidelity::Sampled(2), 10_000, 8, 32.0, 0),
+            (2, 1)
+        );
+        let (s, _) = resolve_sampling(Fidelity::Auto, 1_000_000, 8, 32.0, 0);
+        assert!(s > 1);
     }
 
     #[test]

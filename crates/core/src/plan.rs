@@ -13,7 +13,7 @@
 //! grid shape, and the per-thread resource estimate that feeds the
 //! occupancy model.
 
-use crate::abstraction::{OpInfo, TensorType};
+use crate::abstraction::OpInfo;
 use crate::analysis;
 use crate::costs;
 use crate::schedule::ParallelInfo;
@@ -152,16 +152,12 @@ impl KernelPlan {
         let gather = if self.fused_gather { 0.0 } else { 1.0 };
         edge + gather
     }
-
-    /// Number of input tensors that must be loaded per edge.
-    pub fn input_loads(&self) -> usize {
-        usize::from(self.op.a != TensorType::Null) + usize::from(self.op.b != TensorType::Null)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::abstraction::TensorType;
     use crate::schedule::Strategy;
 
     fn plan(op: OpInfo, p: ParallelInfo) -> KernelPlan {

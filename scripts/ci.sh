@@ -11,12 +11,6 @@ cargo fmt --all --check
 echo "== cargo clippy (workspace, all targets, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo clippy (ugrapher-analyze, -D warnings) =="
-cargo clippy -p ugrapher-analyze -- -D warnings
-
-echo "== cargo clippy (ugrapher-serve, -D warnings) =="
-cargo clippy -p ugrapher-serve --all-targets -- -D warnings
-
 echo "== cargo doc (workspace, no deps, -D warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 

@@ -8,7 +8,7 @@
 
 use ugrapher::core::abstraction::{registry, OpInfo, TensorType};
 use ugrapher::core::api::{uGrapher, GraphTensor, OpArgs, Runtime};
-use ugrapher::core::exec::{execute, OpOperands};
+use ugrapher::core::exec::{execute, Fidelity, OpOperands};
 use ugrapher::core::schedule::{ParallelInfo, Strategy};
 use ugrapher::core::tune::TuneBudget;
 use ugrapher::core::CoreError;
@@ -299,6 +299,42 @@ fn fault_injected_devices_fail_typed_or_simulate_sanely() {
             "injector {i}: bad time {}",
             report.time_ms
         );
+    }
+}
+
+#[test]
+fn zero_sm_device_is_rejected_before_measuring() {
+    // A device without SMs used to reach the simulator: full fidelity
+    // divided by zero (caught as an untyped internal error) and sampled
+    // fidelity spun forever looking for a stride coprime with zero. Each
+    // case runs on its own thread so a regression fails instead of hanging.
+    let mut device = DeviceConfig::v100();
+    device.num_sms = 0;
+    for fidelity in [Fidelity::Full, Fidelity::Sampled(2)] {
+        let rt = Runtime::new(device.clone()).with_fidelity(fidelity);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let g = uniform_random(40, 160, 25);
+            let x = Tensor2::full(40, 4, 1.0);
+            let schedule = ParallelInfo::basic(Strategy::ThreadEdge);
+            let run = rt.run(
+                &GraphTensor::new(&g),
+                &OpArgs::fused(OpInfo::aggregation_sum(), &x),
+                Some(schedule),
+            );
+            let measured = rt.measure_only(&g, &OpInfo::aggregation_sum(), 4, schedule);
+            tx.send((run.map(|_| ()), measured.map(|_| ())))
+                .expect("the test thread is waiting");
+        });
+        let (run, measured) = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{fidelity:?}: a zero-SM device did not finish"));
+        for (what, result) in [("run", run), ("measure_only", measured)] {
+            assert!(
+                matches!(result, Err(CoreError::DeviceInvalid { .. })),
+                "{fidelity:?} {what}: expected DeviceInvalid, got {result:?}"
+            );
+        }
     }
 }
 
