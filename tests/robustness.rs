@@ -6,6 +6,8 @@
 //! correct result, never a panic, and valid inputs always agree with the
 //! functional executor.
 
+use std::sync::mpsc::RecvTimeoutError;
+
 use ugrapher::core::abstraction::{registry, OpInfo, TensorType};
 use ugrapher::core::api::{uGrapher, GraphTensor, OpArgs, Runtime};
 use ugrapher::core::exec::{execute, Fidelity, OpOperands};
@@ -313,7 +315,7 @@ fn zero_sm_device_is_rejected_before_measuring() {
     for fidelity in [Fidelity::Full, Fidelity::Sampled(2)] {
         let rt = Runtime::new(device.clone()).with_fidelity(fidelity);
         let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
+        let worker = std::thread::spawn(move || {
             let g = uniform_random(40, 160, 25);
             let x = Tensor2::full(40, 4, 1.0);
             let schedule = ParallelInfo::basic(Strategy::ThreadEdge);
@@ -326,9 +328,13 @@ fn zero_sm_device_is_rejected_before_measuring() {
             tx.send((run.map(|_| ()), measured.map(|_| ())))
                 .expect("the test thread is waiting");
         });
-        let (run, measured) = rx
-            .recv_timeout(std::time::Duration::from_secs(60))
-            .unwrap_or_else(|_| panic!("{fidelity:?}: a zero-SM device did not finish"));
+        let received = rx.recv_timeout(std::time::Duration::from_secs(60));
+        assert!(
+            !matches!(received, Err(RecvTimeoutError::Timeout)),
+            "{fidelity:?}: a zero-SM device did not finish"
+        );
+        worker.join().expect("the worker does not panic");
+        let (run, measured) = received.expect("the worker sent its results");
         for (what, result) in [("run", run), ("measure_only", measured)] {
             assert!(
                 matches!(result, Err(CoreError::DeviceInvalid { .. })),
