@@ -12,8 +12,15 @@
 //! (grouped, tiled, ragged and multi-chunk rows, scalar and destination
 //! operands, edge outputs, max gathers) and were recorded on the four
 //! per-strategy trace walkers.
+//!
+//! The `REGISTRY_*` constants cover every registry operator under every
+//! strategy and grouping/tiling knob: one digest of all `SimReport`s at
+//! Full fidelity, one at Auto, and one of the emitted CUDA source (with
+//! scalar-B variants). They are slow, so they are `#[ignore]`d and run by
+//! `scripts/ci.sh` with `--ignored` in a release build.
 
-use ugrapher_core::abstraction::{EdgeOp, GatherOp, OpInfo, TensorType};
+use ugrapher_core::abstraction::{registry, EdgeOp, GatherOp, OpInfo, TensorType};
+use ugrapher_core::codegen_cuda::emit_cuda;
 use ugrapher_core::exec::{collect_writes, measure, Fidelity, MeasureOptions};
 use ugrapher_core::plan::KernelPlan;
 use ugrapher_core::schedule::{ParallelInfo, Strategy};
@@ -35,6 +42,13 @@ const WALKER_REPORT_DIGEST: u64 = 0xd9f3_e2b6_e82e_cf8d;
 /// Digest of every write log in [`walker_write_matrix`], in order.
 const WALKER_WRITES_DIGEST: u64 = 0xee51_0e03_ba65_48ae;
 
+/// Digest of every Full-fidelity report in [`registry_report_matrix`].
+const REGISTRY_FULL_DIGEST: u64 = 0xcfc3_042f_ad88_376f;
+/// Digest of every Auto-fidelity report in [`registry_report_matrix`].
+const REGISTRY_AUTO_DIGEST: u64 = 0x91f5_fae3_3009_d140;
+/// Digest of every kernel source in [`registry_cuda_matrix`].
+const REGISTRY_CUDA_DIGEST: u64 = 0x336c_2a57_cbe8_559f;
+
 /// 64-bit FNV-1a, fed one `u64` at a time (little-endian bytes).
 struct Fnv(u64);
 
@@ -45,6 +59,13 @@ impl Fnv {
 
     fn word(&mut self, w: u64) {
         for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
@@ -249,6 +270,85 @@ fn walker_write_matrix() -> u64 {
         }
     }
     h.0
+}
+
+/// Every registry operator × strategy × grouping {1, 4, 64} × tiling
+/// {1, 2, 8}, planned at feature width 36 on one power-law graph: 7560
+/// kernels, in that loop order.
+fn registry_plans() -> (Graph, Vec<KernelPlan>) {
+    let g = spec(400, 3000, DegreeModel::PowerLaw { alpha: 2.0 }, 0.3, 19);
+    let mut plans = Vec::new();
+    for op in registry::all_valid_ops() {
+        for strategy in Strategy::ALL {
+            for grouping in [1, 4, 64] {
+                for tiling in [1, 2, 8] {
+                    let p = ParallelInfo::new(strategy, grouping, tiling);
+                    plans.push(
+                        KernelPlan::generate(op, p, g.num_vertices(), g.num_edges(), 36)
+                            .expect("registry schedules are legal"),
+                    );
+                }
+            }
+        }
+    }
+    (g, plans)
+}
+
+fn registry_report_matrix(fidelity: Fidelity) -> u64 {
+    let (g, plans) = registry_plans();
+    let options = MeasureOptions::new(DeviceConfig::v100()).with_fidelity(fidelity);
+    let mut h = Fnv::new();
+    for plan in &plans {
+        h.report(&measure(&g, plan, &options));
+    }
+    h.0
+}
+
+/// The emitted source of every registry plan, followed (for operators with
+/// a B operand) by the same plan with B as a scalar broadcast.
+fn registry_cuda_matrix() -> u64 {
+    let (_, plans) = registry_plans();
+    let mut h = Fnv::new();
+    let mut emit = |plan: &KernelPlan| {
+        h.bytes(emit_cuda(plan).expect("registry plans emit").as_bytes());
+    };
+    for plan in plans {
+        emit(&plan);
+        if plan.op.b != TensorType::Null {
+            emit(&plan.with_scalar_operands(false, true));
+        }
+    }
+    h.0
+}
+
+#[test]
+#[ignore = "slow: 7560 full-fidelity measurements; run in release with --ignored"]
+fn registry_full_reports_are_bit_identical_to_recorded_digest() {
+    let got = registry_report_matrix(Fidelity::Full);
+    assert_eq!(
+        got, REGISTRY_FULL_DIGEST,
+        "registry Full digest moved: got {got:#018x}, recorded {REGISTRY_FULL_DIGEST:#018x}"
+    );
+}
+
+#[test]
+#[ignore = "slow: 7560 auto-fidelity measurements; run in release with --ignored"]
+fn registry_auto_reports_are_bit_identical_to_recorded_digest() {
+    let got = registry_report_matrix(Fidelity::Auto);
+    assert_eq!(
+        got, REGISTRY_AUTO_DIGEST,
+        "registry Auto digest moved: got {got:#018x}, recorded {REGISTRY_AUTO_DIGEST:#018x}"
+    );
+}
+
+#[test]
+#[ignore = "registry-wide; run in release with --ignored"]
+fn registry_cuda_is_identical_to_recorded_digest() {
+    let got = registry_cuda_matrix();
+    assert_eq!(
+        got, REGISTRY_CUDA_DIGEST,
+        "emitted CUDA digest moved: got {got:#018x}, recorded {REGISTRY_CUDA_DIGEST:#018x}"
+    );
 }
 
 #[test]

@@ -81,6 +81,9 @@ print(f'sim JSON ok: {len(r["smoke"]["cells"])} smoke cells, '
       f'grid search {r["smoke"]["grid_search"]["ms"]:.1f} ms')
 EOF
 
+echo "== simulator + codegen: registry-wide golden digests =="
+cargo test --release -p ugrapher-core --test sim_golden -- --ignored
+
 echo "== tier-1: cargo test -q =="
 cargo test -q
 
