@@ -1,12 +1,9 @@
 //! Verifier pass 3: the IR lint.
 //!
-//! The successor of the retired text-based CUDA lint
-//! (`crates/analyze/src/codegen.rs`, deleted once verdict parity across
-//! the whole registry was proven — see the `lint_parity` regression test).
-//! The text lint audited the emitted *string* and could silently drift
-//! from the emitter; this pass audits the typed IR the emitter renders
-//! from, so the two cannot disagree about what the kernel contains. The
-//! same three properties are checked:
+//! The successor of the retired text-based CUDA lint, which audited the
+//! emitted *string* and could silently drift from the emitter; this pass
+//! audits the typed IR the emitter renders from, so the two cannot
+//! disagree about what the kernel contains. Three properties are checked:
 //!
 //! * **no residual NULL loads** — pass-1 fusion must eliminate every
 //!   [`Value::Zero`] placeholder; one surviving into the statement list
@@ -152,14 +149,22 @@ mod tests {
 
     #[test]
     fn spurious_atomics_are_flagged() {
-        let mut k = ir(OpInfo::aggregation_sum(), Strategy::ThreadVertex);
-        if let Stmt::Store(s) = k.body.last_mut().unwrap() {
-            s.update = UpdateKind::AtomicAdd;
+        for (op, update) in [
+            (OpInfo::aggregation_sum(), UpdateKind::AtomicAdd),
+            (OpInfo::aggregation_max(), UpdateKind::AtomicCasMax),
+        ] {
+            let mut k = ir(op, Strategy::ThreadVertex);
+            if let Stmt::Store(s) = k.body.last_mut().unwrap() {
+                s.update = update;
+            }
+            assert!(
+                lint_ir(&k).contains(&IrFinding::AtomicContradiction {
+                    verdict_atomic: false,
+                    body_atomic: true,
+                }),
+                "{update:?}"
+            );
         }
-        assert!(lint_ir(&k).contains(&IrFinding::AtomicContradiction {
-            verdict_atomic: false,
-            body_atomic: true,
-        }));
     }
 
     #[test]
