@@ -16,8 +16,7 @@
 //! * [`stats`] — degree statistics used both for reporting and as features
 //!   of the schedule predictor (paper Table 7),
 //! * [`reorder`] — locality-improving node renumbering (the paper's Fig. 19
-//!   Rabbit-reorder study),
-//! * [`partition`] — neighbor grouping as used by GNNAdvisor-style kernels.
+//!   Rabbit-reorder study).
 //!
 //! # Example
 //!
@@ -40,7 +39,6 @@ mod error;
 pub mod generate;
 mod graph;
 pub mod io;
-pub mod partition;
 pub mod reorder;
 pub mod sample;
 pub mod stats;

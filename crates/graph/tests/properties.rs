@@ -4,7 +4,6 @@
 #![allow(clippy::unwrap_used)]
 
 use ugrapher_graph::generate::{DegreeModel, GraphSpec};
-use ugrapher_graph::partition::neighbor_groups;
 use ugrapher_graph::reorder::{cluster_order, degree_order, Permutation};
 use ugrapher_graph::{Coo, Graph};
 use ugrapher_util::check::forall;
@@ -125,34 +124,6 @@ fn permutation_inverse_round_trips() {
         let p = cluster_order(&g);
         let back = p.inverse().apply(&p.apply(&g));
         eq(back.to_coo(), g.to_coo(), "inverse round trip")
-    });
-}
-
-#[test]
-fn neighbor_groups_partition_edges() {
-    forall("neighbor_groups_partition_edges", 48, |rng| {
-        let g = Graph::from_coo(&random_coo(rng));
-        let gs = rng.random_range(1usize..16);
-        let groups = neighbor_groups(&g, gs);
-        let total: usize = groups.iter().map(|grp| grp.len).sum();
-        eq(total, g.num_edges(), "group sizes sum")?;
-        for grp in &groups {
-            if grp.len > gs {
-                return Err(format!("group of {} exceeds size {gs}", grp.len));
-            }
-            // Every slot in the group belongs to `dst`'s CSR range.
-            let lo = g.in_ptr()[grp.dst as usize];
-            let hi = g.in_ptr()[grp.dst as usize + 1];
-            if !(grp.start >= lo && grp.start + grp.len <= hi) {
-                return Err(format!(
-                    "group [{}, {}) outside dst {} CSR range [{lo}, {hi})",
-                    grp.start,
-                    grp.start + grp.len,
-                    grp.dst
-                ));
-            }
-        }
-        Ok(())
     });
 }
 
