@@ -7,27 +7,11 @@ use ugrapher_core::CoreError;
 use crate::bounds::BoundsViolation;
 use crate::irlint::IrFinding;
 
-/// A hard analysis failure: the triple is illegal, the plan disagrees with
-/// the independent race analysis, the lowered IR contradicts it, an access
-/// cannot be proved in-bounds, or the dynamic write-set trace refutes the
-/// static verdict.
+/// A hard analysis failure: the triple is illegal, the lowered IR fails
+/// its lint, an access cannot be proved in-bounds, or the dynamic
+/// write-set trace refutes the static verdict.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AnalyzeError {
-    /// The plan's recorded `needs_atomic` flag disagrees with the race
-    /// verdict derived independently from the write-set model — or the IR
-    /// write-set derivation disagrees with either.
-    AtomicMismatch {
-        /// The operator under analysis.
-        op: OpInfo,
-        /// The schedule under analysis.
-        schedule: ParallelInfo,
-        /// What the plan recorded.
-        plan_atomic: bool,
-        /// What the analyzer derived.
-        derived_atomic: bool,
-        /// The derivation behind the analyzer's verdict.
-        reason: String,
-    },
     /// The `(operator, schedule, graph-shape)` triple failed the legality
     /// gate (illegal operator, zero schedule knob, empty feature dim) or
     /// plan generation / IR lowering rejected it.
@@ -77,17 +61,6 @@ pub enum AnalyzeError {
 impl std::fmt::Display for AnalyzeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            AnalyzeError::AtomicMismatch {
-                op,
-                schedule,
-                plan_atomic,
-                derived_atomic,
-                reason,
-            } => write!(
-                f,
-                "atomic mismatch for {op:?} under {schedule}: plan says needs_atomic={plan_atomic}, \
-                 write-set analysis derives {derived_atomic} ({reason})"
-            ),
             AnalyzeError::Illegal { source } => write!(f, "illegal analysis input: {source}"),
             AnalyzeError::Codegen {
                 op,

@@ -10,12 +10,12 @@
 //! over that IR, not over generated text:
 //!
 //! * **race detection** ([`statics::analyze_static`], [`RaceVerdict`]) —
-//!   three independent derivations of the atomic requirement must agree:
-//!   the plan's recorded `needs_atomic`, the symbolic write-set analysis
-//!   (which on a concrete graph also produces a [`RaceWitness`] — two work
-//!   items and the row they share), and the store shape of the lowered IR
-//!   ([`KernelIr::store_races`]). Any divergence is
-//!   [`AnalyzeError::AtomicMismatch`].
+//!   the atomic requirement has one symbolic derivation, the write-set
+//!   analysis ([`ugrapher_core::analysis::race_verdict`]), which on a
+//!   concrete graph also produces a [`RaceWitness`] — two work items and
+//!   the row they share. Lowering maps it onto the kernel's store; the IR
+//!   lint checks that store against it, and the dynamic cross-check below
+//!   checks it against the simulator.
 //! * **symbolic bounds proof** ([`bounds::check_bounds`]) — proves every
 //!   load and store of the lowered kernel in-bounds for *any* graph
 //!   passing `Graph::validate`, by discharging each row index against the
@@ -76,7 +76,6 @@
 //! # }
 //! ```
 //!
-//! [`KernelIr::store_races`]: ugrapher_core::ir::KernelIr::store_races
 //! [`ScheduleLint`]: ugrapher_core::analysis::ScheduleLint
 //! [`RaceWitness`]: ugrapher_core::analysis::RaceWitness
 

@@ -68,7 +68,8 @@ pub struct StaticReport {
     /// IR lint findings (residual NULL loads, unused operands, atomic
     /// contradictions).
     pub codegen: Vec<IrFinding>,
-    /// The CUDA translation unit rendered from [`StaticReport::ir`].
+    /// The CUDA translation unit rendered from [`StaticReport::plan`] and
+    /// [`StaticReport::ir`].
     pub cuda: String,
 }
 
@@ -99,17 +100,14 @@ impl StaticReport {
 }
 
 /// Statically analyzes an `(operator, schedule, graph-shape)` triple
-/// *before* execution: legality gate, plan generation, independent race
-/// verdict (checked against the plan's `needs_atomic` *and* the IR
-/// write-set), schedule lints, and the IR verifier passes over the lowered
-/// kernel.
+/// *before* execution: legality gate, plan generation, then
+/// [`audit_plan`].
 ///
 /// # Errors
 ///
 /// Returns [`AnalyzeError::Illegal`] when the triple fails the legality
-/// gate, [`AnalyzeError::AtomicMismatch`] when plan generation and the
-/// write-set analysis disagree, and [`AnalyzeError::OutOfBounds`] when the
-/// symbolic bounds proof fails.
+/// gate and [`AnalyzeError::OutOfBounds`] when the symbolic bounds proof
+/// fails.
 pub fn analyze_static(
     graph: &Graph,
     op: OpInfo,
@@ -121,32 +119,20 @@ pub fn analyze_static(
     audit_plan(graph, &plan)
 }
 
-/// Audits an already-built [`KernelPlan`] against the independent race
-/// analysis — the entry point for plans that did not come out of
-/// [`KernelPlan::generate`] moments ago (deserialized, cached, or mutated).
-///
-/// Three independent derivations of the race verdict must agree: the
-/// plan's recorded `needs_atomic`, the write-set analysis
-/// ([`ugrapher_core::analysis::race_verdict`]), and the store shape of the
-/// lowered IR ([`KernelIr::store_races`]).
+/// Lowers an already-built [`KernelPlan`] and runs every static check on
+/// the result: the race verdict with its witness on `graph`, schedule
+/// lints, the bounds proof, determinism classification, access patterns
+/// and the IR lint (whose [`IrFinding::AtomicContradiction`] flags a store
+/// whose atomicity disagrees with the race verdict). The CUDA in the report
+/// is rendered from the same plan and IR.
 ///
 /// # Errors
 ///
-/// Returns [`AnalyzeError::AtomicMismatch`] when any two race derivations
-/// disagree, [`AnalyzeError::OutOfBounds`] when an access cannot be proved
+/// Returns [`AnalyzeError::OutOfBounds`] when an access cannot be proved
 /// in-bounds, and [`AnalyzeError::Illegal`] when lowering rejects the
 /// plan.
 pub fn audit_plan(graph: &Graph, plan: &KernelPlan) -> Result<StaticReport, AnalyzeError> {
     let race = RaceVerdict::derive(graph, &plan.op, &plan.parallel);
-    if plan.needs_atomic != race.needs_atomic {
-        return Err(AnalyzeError::AtomicMismatch {
-            op: plan.op,
-            schedule: plan.parallel,
-            plan_atomic: plan.needs_atomic,
-            derived_atomic: race.needs_atomic,
-            reason: race.reason.to_owned(),
-        });
-    }
     let schedule_lints = analysis::lint_schedule(
         &plan.parallel,
         plan.feat,
@@ -154,17 +140,6 @@ pub fn audit_plan(graph: &Graph, plan: &KernelPlan) -> Result<StaticReport, Anal
         graph.num_edges(),
     );
     let ir = lower(plan)?;
-    // The IR write-set is the third, independent derivation of the race
-    // verdict; it must agree with the other two.
-    if ir.store_races() != race.needs_atomic {
-        return Err(AnalyzeError::AtomicMismatch {
-            op: plan.op,
-            schedule: plan.parallel,
-            plan_atomic: plan.needs_atomic,
-            derived_atomic: ir.store_races(),
-            reason: "IR write-set derivation disagrees with the shared race analysis".to_owned(),
-        });
-    }
     let bounds = check_bounds(&ir).map_err(|violation| AnalyzeError::OutOfBounds {
         op: plan.op,
         schedule: plan.parallel,
@@ -173,7 +148,7 @@ pub fn audit_plan(graph: &Graph, plan: &KernelPlan) -> Result<StaticReport, Anal
     let determinism = classify(&ir);
     let access = ir.operand_patterns();
     let codegen = lint_ir(&ir);
-    let cuda = emit_ir(&ir);
+    let cuda = emit_ir(plan, &ir);
     Ok(StaticReport {
         plan: plan.clone(),
         race,
@@ -208,7 +183,6 @@ mod tests {
         assert!(rep.is_clean());
         assert!(rep.race.needs_atomic);
         assert!(rep.race.witness.is_some(), "dense graph must witness");
-        assert!(rep.plan.needs_atomic);
         rep.expect_clean_codegen().unwrap();
         // The verifier passes populated the report.
         assert!(rep.bounds.num_accesses() >= 2);
@@ -216,30 +190,8 @@ mod tests {
             rep.determinism.class,
             DeterminismClass::AtomicOrderDependent
         );
-        assert!(rep.ir.store_races());
+        assert!(rep.ir.store().update.is_atomic());
         assert!(rep.cuda.contains("atomicAdd"));
-    }
-
-    #[test]
-    fn mutated_plan_is_an_atomic_mismatch() {
-        let g = uniform_random(200, 1600, 2);
-        let mut plan = KernelPlan::generate(
-            OpInfo::aggregation_sum(),
-            ParallelInfo::basic(Strategy::ThreadEdge),
-            g.num_vertices(),
-            g.num_edges(),
-            8,
-        )
-        .unwrap();
-        plan.needs_atomic = false;
-        match audit_plan(&g, &plan) {
-            Err(AnalyzeError::AtomicMismatch {
-                plan_atomic: false,
-                derived_atomic: true,
-                ..
-            }) => {}
-            other => panic!("expected AtomicMismatch, got {other:?}"),
-        }
     }
 
     #[test]

@@ -106,7 +106,7 @@ fn edge_output_operators_never_need_atomics() {
             let rep = analyze_static(&g, op, p, 4).unwrap();
             assert!(!rep.race.needs_atomic, "{op:?} {strategy:?}");
             assert!(rep.race.witness.is_none(), "{op:?} {strategy:?}");
-            assert!(!rep.plan.needs_atomic, "{op:?} {strategy:?}");
+            assert!(!rep.ir.store().update.is_atomic(), "{op:?} {strategy:?}");
             let body = rep.cuda.split("__global__").nth(1).unwrap();
             assert!(!body.contains("atomic"), "{op:?} {strategy:?}");
             let cc = cross_check(&g, op, p, 4, &d).unwrap();

@@ -1,10 +1,10 @@
 //! Static analysis of `(operator, schedule)` pairs — the paper's §5.2
 //! atomic-requirement pass promoted to a first-class, shared analysis.
 //!
-//! Historically the atomics decision lived inline in
-//! [`KernelPlan::generate`](crate::plan::KernelPlan::generate) and the
-//! legality checks were scattered across `plan.rs` / `schedule.rs` /
-//! `tune`. This module is now the *only* implementation of both:
+//! This module is the *only* implementation of the atomics rule and of
+//! schedule legality. Lowering ([`crate::lower::lower`]) maps the race
+//! verdict onto the kernel's store, where everything downstream reads it.
+//! The module provides:
 //!
 //! * [`race_verdict`] symbolically derives the output **write-set per
 //!   parallel work item** for any strategy × grouping × tiling combination
@@ -19,10 +19,6 @@
 //!   rules, schedule knobs, feature dimension) that plan generation, grid
 //!   search and the predictor all call before proposing or executing a
 //!   candidate;
-//! * [`check_plan`] audits a fully built [`KernelPlan`] — its recorded
-//!   `needs_atomic` must agree with the race verdict, and a copy gather
-//!   must never be marked atomic — returning
-//!   [`CoreError::Internal`] instead of panicking;
 //! * [`lint_schedule`] reports warning-level findings (clamped tiling,
 //!   degenerate grouping) that are legal but wasteful.
 //!
@@ -32,7 +28,6 @@
 use ugrapher_graph::Graph;
 
 use crate::abstraction::{OpInfo, TensorType};
-use crate::plan::KernelPlan;
 use crate::schedule::ParallelInfo;
 use crate::CoreError;
 
@@ -92,7 +87,7 @@ pub struct RaceVerdict {
 ///   both sides of a group boundary are written by two items: a race.
 /// * **Copy gathers** — each output element is written at most once per
 ///   owning item; no read-modify-write, no race (and the emitter has no
-///   atomic form for them, see [`check_plan`]).
+///   atomic form for them).
 pub fn race_verdict(op: &OpInfo, parallel: &ParallelInfo) -> RaceVerdict {
     let Some(widx) = WriteIndex::of(op.c) else {
         return RaceVerdict {
@@ -195,40 +190,6 @@ pub fn check_context(op: &OpInfo, parallel: &ParallelInfo, feat: usize) -> Resul
         return Err(CoreError::FeatureMismatch {
             expected: 1,
             found: 0,
-        });
-    }
-    Ok(())
-}
-
-/// Audits a fully built [`KernelPlan`] against the race analysis.
-///
-/// A plan whose public `needs_atomic` field disagrees with the verdict —
-/// possible only through field mutation or a bug in plan generation — is an
-/// internal inconsistency, as is a copy gather marked atomic (the CUDA
-/// emitter has no atomic form for copies).
-///
-/// # Errors
-///
-/// Returns [`CoreError::Internal`] describing the inconsistency.
-pub fn check_plan(plan: &KernelPlan) -> Result<(), CoreError> {
-    let verdict = race_verdict(&plan.op, &plan.parallel);
-    if plan.needs_atomic != verdict.needs_atomic {
-        return Err(CoreError::Internal {
-            reason: format!(
-                "plan for {} marks needs_atomic={} but the race analysis derives {} ({})",
-                plan.parallel.label(),
-                plan.needs_atomic,
-                verdict.needs_atomic,
-                verdict.reason
-            ),
-        });
-    }
-    if plan.needs_atomic && !plan.op.gather_op.is_reduction() {
-        return Err(CoreError::Internal {
-            reason: format!(
-                "copy gather {:?} marked atomic; atomics exist only for reductions",
-                plan.op.gather_op
-            ),
         });
     }
     Ok(())
@@ -419,17 +380,6 @@ mod tests {
             check_context(&bad_op, &ok, 8),
             Err(CoreError::InvalidOperator { .. })
         ));
-    }
-
-    #[test]
-    fn check_plan_catches_mutated_atomic_flag() {
-        let op = OpInfo::aggregation_sum();
-        let mut plan =
-            KernelPlan::generate(op, ParallelInfo::basic(Strategy::ThreadEdge), 100, 500, 8)
-                .unwrap();
-        assert!(check_plan(&plan).is_ok());
-        plan.needs_atomic = false; // simulate a corrupted plan
-        assert!(matches!(check_plan(&plan), Err(CoreError::Internal { .. })));
     }
 
     #[test]

@@ -140,8 +140,8 @@ pub struct UGrapherResult {
     /// lines and traces can be joined after the fact.
     pub trace_id: u64,
     /// `true` when this invocation was served from the runtime's
-    /// [`PlanCache`] (schedule selection, plan generation and IR lowering
-    /// were all skipped). Always `false` on a runtime without a cache.
+    /// [`PlanCache`] (schedule selection, plan generation and determinism
+    /// classification were all skipped). Always `false` on a runtime without a cache.
     pub plan_cache_hit: bool,
 }
 
@@ -175,7 +175,8 @@ impl Runtime {
 
     /// Installs a compiled-plan cache: repeat requests with the same
     /// operator, graph version and operand shape skip schedule selection,
-    /// plan generation and IR lowering entirely (see [`PlanCache`]).
+    /// plan generation and determinism classification (see
+    /// [`PlanCache`]).
     /// Share one cache across runtime clones (e.g. serving workers) by
     /// cloning the [`Arc`].
     pub fn with_plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
@@ -471,7 +472,7 @@ impl Runtime {
 
         // Compiled-plan cache fast path: a hit replays the stored schedule,
         // plan, determinism class and downgrades, skipping schedule
-        // selection, plan generation and IR lowering. Downgrades are pushed
+        // selection, plan generation and classification. Downgrades are pushed
         // directly (not via `record`) so hits do not re-bump the fallback
         // metrics for decisions made once at compile time.
         let key = PlanKey {
@@ -530,8 +531,7 @@ impl Runtime {
             feat,
         )?
         .with_scalar_operands(scalars.0, scalars.1);
-        let ir = crate::lower::lower(&plan)?;
-        let determinism = crate::ir::classify_determinism(&ir);
+        let determinism = crate::ir::classify_determinism(&crate::lower::lower(&plan)?);
         robustness.determinism = Some(determinism);
         if let Some(cache) = &self.plan_cache {
             cache.insert(
@@ -539,7 +539,6 @@ impl Runtime {
                 CachedPlan {
                     schedule,
                     plan: plan.clone(),
-                    ir: Arc::new(ir),
                     determinism,
                     downgrades: robustness.downgrades.clone(),
                 },

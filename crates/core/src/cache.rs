@@ -9,8 +9,10 @@
 //!
 //! * the **chosen schedule** (the output of the predictor or the budgeted
 //!   grid search, by far the most expensive stage),
-//! * the generated [`KernelPlan`],
-//! * the lowered [`KernelIr`] and its [`DeterminismClass`], and
+//! * the generated [`KernelPlan`] (what the emitter and the simulator
+//!   lower and render; lowering costs microseconds, so the IR itself is
+//!   not kept),
+//! * the [`DeterminismClass`] of the lowered kernel, and
 //! * the [`Downgrade`]s recorded while choosing (so a cache hit reports
 //!   the same robustness verdict as the miss that populated it).
 //!
@@ -35,7 +37,7 @@ use std::sync::{Arc, Mutex};
 use ugrapher_obs::{metrics, MetricsRegistry};
 
 use crate::abstraction::OpInfo;
-use crate::ir::{DeterminismClass, KernelIr};
+use crate::ir::DeterminismClass;
 use crate::plan::KernelPlan;
 use crate::robustness::Downgrade;
 use crate::schedule::ParallelInfo;
@@ -68,10 +70,7 @@ pub struct CachedPlan {
     pub schedule: ParallelInfo,
     /// The generated plan, scalar-operand flags applied.
     pub plan: KernelPlan,
-    /// The lowered kernel IR (what `emit_cuda` renders and the verifier
-    /// passes analyze).
-    pub ir: Arc<KernelIr>,
-    /// Determinism classification of `ir`.
+    /// Determinism classification of the kernel `plan` lowers to.
     pub determinism: DeterminismClass,
     /// Downgrades recorded while this entry was compiled (tune budget
     /// trips, schedule lints, predictor fallbacks). Replayed into the
@@ -273,12 +272,10 @@ mod tests {
         let schedule = ParallelInfo::basic(Strategy::ThreadVertex);
         let plan =
             KernelPlan::generate(OpInfo::aggregation_sum(), schedule, 100, 400, feat).unwrap();
-        let ir = lower(&plan).unwrap();
-        let determinism = crate::ir::classify_determinism(&ir);
+        let determinism = crate::ir::classify_determinism(&lower(&plan).unwrap());
         CachedPlan {
             schedule,
             plan,
-            ir: Arc::new(ir),
             determinism,
             downgrades: Vec::new(),
         }

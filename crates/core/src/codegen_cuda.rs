@@ -5,10 +5,11 @@
 //! code generator fills from the operator's `op_info`. This module
 //! reproduces that pipeline — but instead of free-form text templates, the
 //! plan is first lowered to the typed IR ([`crate::lower::lower`]) and the
-//! emitted source is a pure rendering of that IR ([`emit_ir`]): the loop
-//! nest comes from [`KernelIr::loops`], every load/store from the IR's
-//! provenance-carrying statements, and the update form from the store's
-//! [`UpdateKind`]. The `ugrapher-analyze` verifier passes analyze the same
+//! emitted source is a pure rendering of the plan plus that IR
+//! ([`emit_ir`]): the loop nest comes from [`KernelIr::loops`], every
+//! load/store from the IR's provenance-carrying statements, the update form
+//! from the store's [`UpdateKind`], and the constants and launch geometry
+//! from the plan. The `ugrapher-analyze` verifier passes analyze the same
 //! IR, so what is proved about the analysis holds for the emitted code by
 //! construction. [`emit_cuda`] renders, for any [`KernelPlan`]:
 //!
@@ -29,36 +30,35 @@ use crate::lower::lower;
 use crate::plan::KernelPlan;
 use crate::CoreError;
 
-/// Renders the complete CUDA translation unit for a kernel plan.
-///
-/// The plan is lowered to the typed IR first ([`crate::lower::lower`]),
-/// which audits it against the shared race analysis — so a plan whose
-/// `needs_atomic` flag was mutated out from under the analysis, or a copy
-/// gather marked atomic (no atomic emission form exists), comes back as a
-/// typed error instead of a panic. Rendering the lowered IR itself is
-/// total: every update form in the IR has an emission.
+/// Renders the complete CUDA translation unit for a kernel plan: the plan
+/// is lowered to the typed IR ([`crate::lower::lower`], where the fusion
+/// and atomic passes run) and rendered with [`emit_ir`].
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Internal`] if the plan is internally inconsistent.
+/// Returns [`CoreError::Internal`] if lowering fails (a `Null` output,
+/// which plan generation rejects).
 pub fn emit_cuda(plan: &KernelPlan) -> Result<String, CoreError> {
-    Ok(emit_ir(&lower(plan)?))
+    Ok(emit_ir(plan, &lower(plan)?))
 }
 
-/// Renders a lowered kernel IR to CUDA source. Total: the IR's type
-/// structure admits no statement without an emission form.
-pub fn emit_ir(ir: &KernelIr) -> String {
+/// Renders a plan and the IR lowered from it to CUDA source: the kernel
+/// body from the IR, the constants and launch geometry from the plan.
+/// Total: the IR's type structure admits no statement without an emission
+/// form.
+pub fn emit_ir(plan: &KernelPlan, ir: &KernelIr) -> String {
+    let name = plan.parallel.label().to_lowercase();
     let mut out = String::with_capacity(4096);
-    out.push_str(&header_comment(ir));
+    out.push_str(&header_comment(plan, ir));
     out.push_str(&device_function(ir));
     out.push('\n');
-    out.push_str(&kernel(ir));
+    out.push_str(&kernel(plan, ir, &name));
     out.push('\n');
-    out.push_str(&launcher(ir));
+    out.push_str(&launcher(plan, &name));
     out
 }
 
-fn header_comment(ir: &KernelIr) -> String {
+fn header_comment(plan: &KernelPlan, ir: &KernelIr) -> String {
     // The fusion flags are facts of the IR: a fused edge stage has no
     // edge-temporary statement, a fused gather is a plain overwrite.
     let fused_edge = !ir
@@ -80,9 +80,9 @@ fn header_comment(ir: &KernelIr) -> String {
         fused_edge,
         fused_gather,
         ir.store().update.is_atomic(),
-        ir.tiles,
-        ir.tile_len,
-        ir.num_groups,
+        plan.tile_count,
+        plan.tile_size,
+        plan.num_groups,
     )
 }
 
@@ -192,9 +192,9 @@ fn inner_body(ir: &KernelIr, indent: &str) -> String {
     s
 }
 
-fn kernel(ir: &KernelIr) -> String {
+fn kernel(plan: &KernelPlan, ir: &KernelIr, name: &str) -> String {
     let sig = format!(
-        "__global__ void ugrapher_{}(\n\
+        "__global__ void ugrapher_{name}(\n\
          \x20   const int64_t *__restrict__ in_ptr,   // CSC row offsets\n\
          \x20   const int32_t *__restrict__ in_src,   // per-slot source vertex\n\
          \x20   const int32_t *__restrict__ in_eid,   // per-slot edge id\n\
@@ -202,8 +202,7 @@ fn kernel(ir: &KernelIr) -> String {
          \x20   const float *__restrict__ A,\n\
          \x20   const float *__restrict__ B,\n\
          \x20   float *__restrict__ C,\n\
-         \x20   int num_vertices, int num_edges)\n",
-        ir.name
+         \x20   int num_vertices, int num_edges)\n"
     );
     let consts = format!(
         "{{\n\
@@ -211,10 +210,10 @@ fn kernel(ir: &KernelIr) -> String {
          \x20   const int GROUP = {group};\n\
          \x20   const int TILES = {tiles};\n\
          \x20   const int TILE_LEN = {tile_len};\n",
-        feat = ir.feat,
-        group = ir.group,
-        tiles = ir.tiles,
-        tile_len = ir.tile_len,
+        feat = plan.feat,
+        group = plan.parallel.grouping,
+        tiles = plan.tile_count,
+        tile_len = plan.tile_size,
     );
     format!("{sig}{consts}{body}}}\n", body = loop_nest(ir))
 }
@@ -295,15 +294,14 @@ fn loop_nest(ir: &KernelIr) -> String {
     s
 }
 
-fn launcher(ir: &KernelIr) -> String {
+fn launcher(plan: &KernelPlan, name: &str) -> String {
     format!(
         "// Host launch:\n\
          //   dim3 grid({grid});\n\
          //   dim3 block({block});\n\
-         //   ugrapher_{label}<<<grid, block>>>(in_ptr, in_src, in_eid, slot_dst, A, B, C, num_vertices, num_edges);\n",
-        grid = ir.grid_blocks,
-        block = ir.threads_per_block,
-        label = ir.name
+         //   ugrapher_{name}<<<grid, block>>>(in_ptr, in_src, in_eid, slot_dst, A, B, C, num_vertices, num_edges);\n",
+        grid = plan.grid_blocks,
+        block = plan.threads_per_block,
     )
 }
 
@@ -424,21 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn corrupted_plan_is_typed_error_not_panic() {
-        // A copy gather force-marked atomic used to hit an unreachable!();
-        // the lowering audit must reject it as a typed internal error.
-        let mut p = plan(
-            OpInfo::message_creation_add(),
-            ParallelInfo::basic(Strategy::ThreadEdge),
-        );
-        p.needs_atomic = true;
-        assert!(matches!(
-            emit_cuda(&p),
-            Err(crate::CoreError::Internal { .. })
-        ));
-    }
-
-    #[test]
     fn message_creation_writes_per_edge() {
         let src = emit_cuda(&plan(
             OpInfo::message_creation_add(),
@@ -456,9 +439,9 @@ mod tests {
         // emission form for every statement.
         for op in crate::abstraction::registry::all_valid_ops() {
             for strategy in Strategy::ALL {
-                let ir = crate::lower::lower(&plan(op, ParallelInfo::new(strategy, 4, 2))).unwrap();
-                let src = emit_ir(&ir);
-                assert!(src.contains(&format!("ugrapher_{}", ir.name)));
+                let p = plan(op, ParallelInfo::new(strategy, 4, 2));
+                let src = emit_ir(&p, &lower(&p).unwrap());
+                assert!(src.contains(&format!("ugrapher_{}", p.parallel.label().to_lowercase())));
             }
         }
     }

@@ -1,9 +1,10 @@
 //! Schedule-faithful trace generation.
 //!
-//! For a given [`KernelPlan`], this module walks the loop structure the
-//! paper's code generator emits for that schedule (paper Fig. 6) and
-//! streams the resulting warp-level memory accesses and compute cycles into
-//! the `ugrapher-sim` GPU model. One walker serves all four strategies:
+//! For a given [`KernelPlan`], this module lowers it to the typed kernel IR
+//! ([`crate::lower::lower`]), walks the loop structure the paper's code
+//! generator emits for that schedule (paper Fig. 6) and streams the
+//! resulting warp-level memory accesses and compute cycles into the
+//! `ugrapher-sim` GPU model. One walker serves all four strategies:
 //!
 //! * every work item becomes a *lane*: a feature tile plus a contiguous
 //!   range of positions (CSR slots of a destination group, or edge
@@ -14,10 +15,11 @@
 //!   **warp** strategies give each item a whole warp, so index words are
 //!   broadcast ([`Access::Broadcast`]) and lanes sweep the feature tile in
 //!   coalesced chunks ([`Access::Coalesced`]);
-//! * each tensor is loaded or stored at the loop level its [`Provenance`]
-//!   names (per vertex or per position), and edge-parallel reductions
-//!   update destination rows with [`KernelSim::atomic`], tracking
-//!   per-destination conflict chains.
+//! * each input is loaded at the loop level its IR
+//!   [`Load`](crate::ir::Load)'s [`Provenance`] names (per vertex or per
+//!   position), and the output is written where its
+//!   [`Store`](crate::ir::Store) names; an atomic store updates rows with
+//!   [`KernelSim::atomic`], tracking per-destination conflict chains.
 //!
 //! Tracing can be *sampled* ([`Fidelity::Sampled`]): only every `stride`-th
 //! block is walked and the simulator scales counts back up, which is what
@@ -32,7 +34,8 @@ use std::ops::Range;
 
 use crate::abstraction::TensorType;
 use crate::costs;
-use crate::ir::{provenance_of, Provenance};
+use crate::ir::{KernelIr, OperandBuf, Provenance};
+use crate::lower::lower;
 use crate::plan::KernelPlan;
 
 /// Trace fidelity.
@@ -149,8 +152,8 @@ impl Layout {
 /// walker sees it.
 #[derive(Debug, Clone, Copy)]
 struct Operand {
-    /// Where the row index comes from, which fixes the loop level the
-    /// tensor is touched at ([`provenance_of`], as in `lower`).
+    /// Where the row index comes from (the IR load's or store's `row`),
+    /// which fixes the loop level the tensor is touched at.
     prov: Provenance,
     base: u64,
     /// One-column broadcast: a single 4-byte word per row instead of a
@@ -296,7 +299,8 @@ fn resolve_sampling(
 ///
 /// # Panics
 ///
-/// Panics if `plan.op` has a `Null` output, which plan generation rejects.
+/// Panics if `plan.op` has a `Null` output, which plan generation rejects
+/// (lowering fails).
 ///
 /// # Example
 ///
@@ -358,7 +362,8 @@ pub fn measure(graph: &Graph, plan: &KernelPlan, options: &MeasureOptions) -> Si
         .with_replication(replication);
     let mut sim = KernelSim::new(device, launch);
 
-    Tracer::new(graph, plan, stride, warp_stride).run(&mut sim);
+    let ir = lower(plan).expect("validated operators have a non-Null output");
+    Tracer::new(graph, plan, &ir, stride, warp_stride).run(&mut sim);
     let report = sim.finish();
     if span.is_enabled() {
         span.attr("schedule", plan.parallel.label())
@@ -412,18 +417,19 @@ pub fn measure(graph: &Graph, plan: &KernelPlan, options: &MeasureOptions) -> Si
 /// # Errors
 ///
 /// Returns [`CoreError`](crate::CoreError) if the device configuration is
-/// invalid.
+/// invalid or the plan does not lower.
 pub fn collect_writes(
     graph: &Graph,
     plan: &KernelPlan,
     device: &DeviceConfig,
 ) -> Result<ugrapher_sim::WriteLog, crate::CoreError> {
     device.validate()?;
+    let ir = lower(plan)?;
     let launch =
         LaunchConfig::new(plan.grid_blocks, plan.threads_per_block).with_regs(plan.regs_per_thread);
     let mut sim = KernelSim::new(device, launch);
     sim.enable_write_log()?;
-    Tracer::new(graph, plan, 1, 1).run(&mut sim);
+    Tracer::new(graph, plan, &ir, 1, 1).run(&mut sim);
     let (_report, log) = sim.finish_with_writes();
     log.ok_or_else(|| crate::CoreError::Internal {
         reason: "write log enabled but absent at finish".to_owned(),
@@ -475,8 +481,8 @@ enum Kind {
 }
 
 /// The single schedule walker: one block/warp loop turns work items into
-/// lanes, and every tensor access is placed by its provenance (DESIGN.md
-/// §13).
+/// lanes, and every tensor access is placed by the provenance of its IR
+/// load or store (DESIGN.md §13).
 struct Tracer<'a> {
     graph: &'a Graph,
     plan: &'a KernelPlan,
@@ -487,9 +493,13 @@ struct Tracer<'a> {
     /// scale the block's recorded costs back up.
     warp_stride: usize,
     mapping: Mapping,
-    /// Non-null input operands, A before B.
+    /// The IR's operand loads, in statement order (A before B).
     inputs: Vec<Operand>,
     output: Operand,
+    /// The store's update form is atomic.
+    atomic: bool,
+    /// Arithmetic instructions per feature element (after fusion).
+    arith: f64,
     // The per-strategy access-order differences, kept as data:
     /// Base addresses of the index arrays read once per position, in issue
     /// order (source ids, destination ids, edge ids).
@@ -504,22 +514,34 @@ struct Tracer<'a> {
 }
 
 impl<'a> Tracer<'a> {
-    fn new(graph: &'a Graph, plan: &'a KernelPlan, stride: usize, warp_stride: usize) -> Self {
+    fn new(
+        graph: &'a Graph,
+        plan: &'a KernelPlan,
+        ir: &KernelIr,
+        stride: usize,
+        warp_stride: usize,
+    ) -> Self {
         let lay = Layout::build(graph, plan);
         let view = EdgeView::new(graph, plan, &lay);
         let strategy = plan.parallel.strategy;
-        let operand = |tensor, base, scalar| {
-            provenance_of(tensor, strategy).map(|prov| Operand { prov, base, scalar })
+        let inputs: Vec<Operand> = ir
+            .loads()
+            .into_iter()
+            .map(|l| Operand {
+                prov: l.row,
+                base: match l.buf {
+                    OperandBuf::A => lay.a,
+                    OperandBuf::B => lay.b,
+                },
+                scalar: !l.feature_indexed,
+            })
+            .collect();
+        let store = ir.store();
+        let output = Operand {
+            prov: store.row,
+            base: lay.c,
+            scalar: false,
         };
-        let inputs: Vec<Operand> = [
-            operand(plan.op.a, lay.a, plan.a_scalar),
-            operand(plan.op.b, lay.b, plan.b_scalar),
-        ]
-        .into_iter()
-        .flatten()
-        .collect();
-        let output =
-            operand(plan.op.c, lay.c, false).expect("validated operators have a non-Null output");
         let uses = |prov| output.prov == prov || inputs.iter().any(|x| x.prov == prov);
         let edge = strategy.is_edge_parallel();
         let warp = strategy.is_warp_per_item();
@@ -545,6 +567,8 @@ impl<'a> Tracer<'a> {
             mapping: if warp { Mapping::Warp } else { Mapping::Thread },
             inputs,
             output,
+            atomic: store.update.is_atomic(),
+            arith: ir.arith_per_element(),
             index_bases,
             span: match (edge, warp) {
                 (true, _) => 0,
@@ -668,7 +692,7 @@ impl<'a> Tracer<'a> {
         if self.vertex_loads_first {
             self.per_vertex(sim, lanes, tile_len, at, true, false);
         }
-        let arith = self.issues(tile_len) as f64 * self.plan.arith_per_element();
+        let arith = self.issues(tile_len) as f64 * self.arith;
         let dst = &self.view.dst;
         let steps = lanes.iter().map(|l| l.pos.len()).max().unwrap_or(0);
         for s in 0..steps {
@@ -783,9 +807,9 @@ impl<'a> Tracer<'a> {
     }
 
     /// Writes the output at every lane that writes this step, atomically
-    /// when the plan needs it.
+    /// when the IR store is atomic.
     fn store(&self, sim: &mut KernelSim, at: &[At], tile_len: usize) -> f64 {
-        let kind = if self.plan.needs_atomic {
+        let kind = if self.atomic {
             Kind::Atomic
         } else {
             Kind::Store

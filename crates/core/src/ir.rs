@@ -12,13 +12,15 @@
 //! so a safety claim about the analysis is a claim about the emitted code
 //! by construction — the two can no longer silently drift apart.
 //!
-//! Three families of derived facts live here because other `core` layers
+//! The simulator's trace walker ([`crate::exec::measure`]) reads the same
+//! loads and store to place its memory accesses, so the emitted kernel,
+//! the verified kernel and the simulated kernel are one description.
+//! Launch geometry (groups, tiles, grid shape) is not repeated here; it
+//! stays on the plan the IR was lowered from.
+//!
+//! Two families of derived facts live here because other `core` layers
 //! consume them directly:
 //!
-//! * [`KernelIr::store_races`] — the race verdict re-derived from the IR
-//!   write-set (cross-checked against
-//!   [`crate::analysis::race_verdict`] and the sim write-log oracle by
-//!   `ugrapher-analyze`);
 //! * [`classify_determinism`] / [`DeterminismClass`] — whether repeated
 //!   runs of the kernel are bitwise identical, surfaced on
 //!   [`crate::robustness::RobustnessReport`];
@@ -263,36 +265,20 @@ pub enum Loop {
     },
 }
 
-/// A fully lowered kernel: typed loop nest, statement list, and launch
-/// geometry, plus the `(operator, schedule)` pair it was lowered from so
-/// verifier passes are self-contained.
+/// A fully lowered kernel: typed loop nest and statement list, plus the
+/// `(operator, schedule)` pair it was lowered from so verifier passes are
+/// self-contained.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelIr {
     /// The operator this kernel implements.
     pub op: OpInfo,
     /// The schedule it was lowered under.
     pub parallel: ParallelInfo,
-    /// Kernel symbol suffix (the lowercased schedule label).
-    pub name: String,
     /// Loop nest, outermost first; the last entry is always the feature
     /// loop wrapping [`KernelIr::body`].
     pub loops: Vec<Loop>,
     /// Innermost-loop statements; the last is always the [`Store`].
     pub body: Vec<Stmt>,
-    /// Feature (column) dimension.
-    pub feat: usize,
-    /// V/E grouping (the `GROUP` constant).
-    pub group: usize,
-    /// Work-item groups after partitioning (launch metadata).
-    pub num_groups: usize,
-    /// Feature tile count (the `TILES` constant).
-    pub tiles: usize,
-    /// Features per tile (the `TILE_LEN` constant).
-    pub tile_len: usize,
-    /// Launch geometry: blocks in the grid.
-    pub grid_blocks: usize,
-    /// Launch geometry: threads per block.
-    pub threads_per_block: usize,
 }
 
 impl KernelIr {
@@ -349,20 +335,17 @@ impl KernelIr {
         self.loops.contains(&Loop::EdgeGroup)
     }
 
-    /// The race verdict re-derived from the IR write-set: two work items
-    /// can write the same output element iff the store is a
-    /// read-modify-write through an *indirect* destination index — i.e.
-    /// the row is data (`slot_dst[s]`), not a loop variable that
-    /// partitions rows across items.
-    ///
-    /// `ugrapher-analyze` cross-checks this against
-    /// [`crate::analysis::race_verdict`], `KernelPlan::needs_atomic`, and
-    /// the simulator's write-log oracle.
-    pub fn store_races(&self) -> bool {
-        let store = self.store();
-        store.update.is_reduction()
-            && store.row.is_indirect()
-            && store.row.bound() == Bound::NumVertices
+    /// Arithmetic instructions per feature element in the inner loop: one
+    /// for a materialised edge stage, one for a reducing store. Fused copy
+    /// stages cost nothing.
+    pub fn arith_per_element(&self) -> f64 {
+        self.body
+            .iter()
+            .filter(|s| match s {
+                Stmt::DefineEdgeTmp { .. } => true,
+                Stmt::Store(store) => store.update.is_reduction(),
+            })
+            .count() as f64
     }
 
     /// Per-operand access-pattern classification (see [`AccessPattern`]).
@@ -570,20 +553,6 @@ mod tests {
     fn ir(op: OpInfo, strategy: Strategy) -> KernelIr {
         let plan = KernelPlan::generate(op, ParallelInfo::basic(strategy), 1000, 4000, 32).unwrap();
         lower(&plan).unwrap()
-    }
-
-    #[test]
-    fn write_set_race_matches_shared_analysis_on_registry() {
-        for op in crate::abstraction::registry::all_valid_ops() {
-            for strategy in Strategy::ALL {
-                let p = ParallelInfo::basic(strategy);
-                assert_eq!(
-                    ir(op, strategy).store_races(),
-                    crate::analysis::race_verdict(&op, &p).needs_atomic,
-                    "{op:?} under {p}"
-                );
-            }
-        }
     }
 
     #[test]

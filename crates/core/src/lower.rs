@@ -1,9 +1,13 @@
 //! Lowering: [`KernelPlan`] → [`KernelIr`].
 //!
-//! This is the single place where the two codegen passes recorded on the
-//! plan (NULL-op fusion, atomic-requirement analysis) are turned into
-//! explicit typed statements. The CUDA emitter renders the result; the
-//! `ugrapher-analyze` verifier passes prove properties of the same result.
+//! This is the only place the code generator's two passes (paper §5.2)
+//! run. Pass 1 (**fusion**) removes the copy stages: a copy edge op stores
+//! its operand directly instead of materialising an edge temporary, and a
+//! copy gather overwrites the output instead of reducing into it. Pass 2
+//! (**atomic analysis**) maps the shared race verdict
+//! ([`analysis::race_verdict`]) onto the store's [`UpdateKind`]. The CUDA
+//! emitter, the simulator's trace walker and the `ugrapher-analyze`
+//! verifier passes all read the result instead of re-deriving it.
 
 use crate::abstraction::{EdgeOp, GatherOp, TensorType};
 use crate::analysis;
@@ -11,19 +15,14 @@ use crate::ir::{provenance_of, KernelIr, Load, Loop, OperandBuf, Stmt, Store, Up
 use crate::plan::KernelPlan;
 use crate::CoreError;
 
-/// Lowers a kernel plan into the typed IR.
-///
-/// The plan is audited against the shared race analysis first
-/// ([`analysis::check_plan`]), so a plan whose `needs_atomic` flag was
-/// mutated out from under the analysis — or a copy gather marked atomic,
-/// for which no atomic update form exists — comes back as a typed error
-/// instead of malformed IR.
+/// Lowers a kernel plan into the typed IR, running the fusion and atomic
+/// passes.
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Internal`] if the plan is internally inconsistent.
+/// Returns [`CoreError::Internal`] if the plan's operator has a `Null`
+/// output, which plan generation rejects.
 pub fn lower(plan: &KernelPlan) -> Result<KernelIr, CoreError> {
-    analysis::check_plan(plan)?;
     let strategy = plan.parallel.strategy;
 
     let operand = |buf: OperandBuf, tensor: TensorType, scalar: bool| -> Value {
@@ -40,23 +39,29 @@ pub fn lower(plan: &KernelPlan) -> Result<KernelIr, CoreError> {
     let a = operand(OperandBuf::A, plan.op.a, plan.a_scalar);
     let b = operand(OperandBuf::B, plan.op.b, plan.b_scalar);
 
-    // Pass-1 fusion, replayed on the IR: a copy edge op stores the operand
-    // value directly; anything else materialises the edge temporary
-    // through the device function.
+    // Pass 1, edge stage: a copy edge op stores the operand value
+    // directly; anything else materialises the edge temporary through the
+    // device function.
     let mut body = Vec::with_capacity(2);
-    let value = if plan.fused_edge {
-        if plan.op.edge_op == EdgeOp::CopyLhs {
-            a
-        } else {
-            b
+    let value = match plan.op.edge_op {
+        EdgeOp::CopyLhs => a,
+        EdgeOp::CopyRhs => b,
+        op => {
+            body.push(Stmt::DefineEdgeTmp { op, a, b });
+            Value::EdgeTmp
         }
-    } else {
-        body.push(Stmt::DefineEdgeTmp {
-            op: plan.op.edge_op,
-            a,
-            b,
-        });
-        Value::EdgeTmp
+    };
+
+    // Pass 1, gather stage (copies overwrite), and pass 2 (atomics).
+    let atomic = analysis::race_verdict(&plan.op, &plan.parallel).needs_atomic;
+    let update = match (plan.op.gather_op, atomic) {
+        (GatherOp::CopyLhs | GatherOp::CopyRhs, _) => UpdateKind::Assign,
+        (GatherOp::Sum | GatherOp::Mean, false) => UpdateKind::Accumulate,
+        (GatherOp::Sum | GatherOp::Mean, true) => UpdateKind::AtomicAdd,
+        (GatherOp::Max, false) => UpdateKind::MaxInPlace,
+        (GatherOp::Max, true) => UpdateKind::AtomicCasMax,
+        (GatherOp::Min, false) => UpdateKind::MinInPlace,
+        (GatherOp::Min, true) => UpdateKind::AtomicCasMin,
     };
 
     body.push(Stmt::Store(Store {
@@ -65,7 +70,7 @@ pub fn lower(plan: &KernelPlan) -> Result<KernelIr, CoreError> {
             reason: "operator with Null output survived plan validation".to_owned(),
         })?,
         value,
-        update: update_kind(plan)?,
+        update,
     }));
 
     let feature = Loop::Feature {
@@ -81,43 +86,9 @@ pub fn lower(plan: &KernelPlan) -> Result<KernelIr, CoreError> {
     Ok(KernelIr {
         op: plan.op,
         parallel: plan.parallel,
-        name: plan.parallel.label().to_lowercase(),
         loops,
         body,
-        feat: plan.feat,
-        group: plan.parallel.grouping,
-        num_groups: plan.num_groups,
-        tiles: plan.tile_count,
-        tile_len: plan.tile_size,
-        grid_blocks: plan.grid_blocks,
-        threads_per_block: plan.threads_per_block,
     })
-}
-
-/// Maps the plan's `(gather_op, needs_atomic)` pair onto the update form.
-fn update_kind(plan: &KernelPlan) -> Result<UpdateKind, CoreError> {
-    if !plan.needs_atomic {
-        return Ok(match plan.op.gather_op {
-            GatherOp::CopyLhs | GatherOp::CopyRhs => UpdateKind::Assign,
-            GatherOp::Sum | GatherOp::Mean => UpdateKind::Accumulate,
-            GatherOp::Max => UpdateKind::MaxInPlace,
-            GatherOp::Min => UpdateKind::MinInPlace,
-        });
-    }
-    match plan.op.gather_op {
-        GatherOp::Sum | GatherOp::Mean => Ok(UpdateKind::AtomicAdd),
-        GatherOp::Max => Ok(UpdateKind::AtomicCasMax),
-        GatherOp::Min => Ok(UpdateKind::AtomicCasMin),
-        // check_plan rejects this combination before we get here; keep a
-        // typed arm for direct callers hand-building plans.
-        GatherOp::CopyLhs | GatherOp::CopyRhs => Err(CoreError::Internal {
-            reason: format!(
-                "copy gather {:?} marked atomic under {}; pass 2 never marks copy gathers atomic",
-                plan.op.gather_op,
-                plan.parallel.label()
-            ),
-        }),
-    }
 }
 
 #[cfg(test)]
@@ -215,13 +186,6 @@ mod tests {
                 .update,
             UpdateKind::MaxInPlace
         );
-    }
-
-    #[test]
-    fn corrupted_plan_is_rejected_not_lowered() {
-        let mut p = plan(OpInfo::message_creation_add(), Strategy::ThreadEdge);
-        p.needs_atomic = true;
-        assert!(matches!(lower(&p), Err(CoreError::Internal { .. })));
     }
 
     #[test]

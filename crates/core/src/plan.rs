@@ -1,17 +1,13 @@
-//! Kernel plan generation — the reproduction of the paper's two-pass CUDA
-//! code generator (§5.2).
+//! Kernel plan generation — the scheduling half of the paper's CUDA code
+//! generator (§5.2).
 //!
-//! Pass 1 (**fusion**) removes the copy stages: when `edge_op` is a pure
-//! copy the edge temporary is the input element itself (no register, no
-//! arithmetic), and when `gather_op` is `copy_rhs` the store writes the
-//! edge value directly. Pass 2 (**atomic analysis**) decides whether the
-//! output must be updated atomically: exactly when a reduction into a
-//! vertex tensor is parallelized over edges, so that several threads can
-//! own edges of the same destination.
-//!
-//! The result is a [`KernelPlan`]: the fused operator, the schedule, the
-//! grid shape, and the per-thread resource estimate that feeds the
-//! occupancy model.
+//! A [`KernelPlan`] records what was *decided* for one kernel: the
+//! operator, the schedule, the feature width and scalar-operand flags, and
+//! the launch geometry derived from them (groups, tiles, items, grid shape
+//! and the per-thread register estimate that feeds the occupancy model).
+//! What the kernel *does* — the generator's two passes, NULL-op fusion and
+//! atomic analysis — is derived once, by [`crate::lower::lower`], into the
+//! typed [`crate::ir::KernelIr`].
 
 use crate::abstraction::OpInfo;
 use crate::analysis;
@@ -26,12 +22,6 @@ pub struct KernelPlan {
     pub op: OpInfo,
     /// The schedule.
     pub parallel: ParallelInfo,
-    /// Pass 1: the edge stage is a pure copy and was fused away.
-    pub fused_edge: bool,
-    /// Pass 1: the gather stage is a pure copy and was fused away.
-    pub fused_gather: bool,
-    /// Pass 2: the output must be updated with atomics.
-    pub needs_atomic: bool,
     /// Destination-vertex groups (vertex strategies) or edge groups (edge
     /// strategies).
     pub num_groups: usize,
@@ -75,15 +65,6 @@ impl KernelPlan {
     ) -> Result<Self, CoreError> {
         analysis::check_context(&op, &parallel, feat)?;
 
-        // Pass 1: fusion of NULL (copy) stages.
-        let fused_edge = op.edge_op.is_copy();
-        let fused_gather = !op.gather_op.is_reduction();
-
-        // Pass 2: atomic-requirement analysis, delegated to the shared
-        // write-set race analysis (the single implementation of the rule;
-        // see `crate::analysis`).
-        let needs_atomic = analysis::race_verdict(&op, &parallel).needs_atomic;
-
         // Schedule shape. The requested tiling is clamped to the feature
         // dimension, then re-derived from the tile size so that
         // `tile_count * tile_size` covers `feat` without overshooting by a
@@ -120,9 +101,6 @@ impl KernelPlan {
         Ok(Self {
             op,
             parallel,
-            fused_edge,
-            fused_gather,
-            needs_atomic,
             num_groups,
             tile_count,
             tile_size,
@@ -144,20 +122,13 @@ impl KernelPlan {
         self.b_scalar = b_scalar;
         self
     }
-
-    /// Arithmetic warp instructions per feature element in the inner loop
-    /// (after fusion).
-    pub fn arith_per_element(&self) -> f64 {
-        let edge = if self.fused_edge { 0.0 } else { 1.0 };
-        let gather = if self.fused_gather { 0.0 } else { 1.0 };
-        edge + gather
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::abstraction::TensorType;
+    use crate::lower::lower;
     use crate::schedule::Strategy;
 
     fn plan(op: OpInfo, p: ParallelInfo) -> KernelPlan {
@@ -165,35 +136,25 @@ mod tests {
     }
 
     #[test]
-    fn fusion_pass_detects_copies() {
-        let p = plan(
-            OpInfo::aggregation_sum(),
-            ParallelInfo::basic(Strategy::ThreadVertex),
-        );
-        assert!(p.fused_edge, "copy_lhs edge op must fuse");
-        assert!(!p.fused_gather, "sum gather is real work");
-        assert_eq!(p.arith_per_element(), 1.0);
-
-        let p2 = plan(
-            OpInfo::message_creation_add(),
-            ParallelInfo::basic(Strategy::ThreadEdge),
-        );
-        assert!(!p2.fused_edge);
-        assert!(p2.fused_gather, "copy_rhs gather must fuse");
-        assert_eq!(p2.arith_per_element(), 1.0);
-    }
-
-    #[test]
-    fn atomic_analysis_matches_strategy() {
+    fn atomic_analysis_matches_strategy() -> Result<(), CoreError> {
+        let atomic = |op, s| {
+            Ok::<_, CoreError>(
+                lower(&plan(op, ParallelInfo::basic(s)))?
+                    .store()
+                    .update
+                    .is_atomic(),
+            )
+        };
         let agg = OpInfo::aggregation_sum();
-        assert!(!plan(agg, ParallelInfo::basic(Strategy::ThreadVertex)).needs_atomic);
-        assert!(!plan(agg, ParallelInfo::basic(Strategy::WarpVertex)).needs_atomic);
-        assert!(plan(agg, ParallelInfo::basic(Strategy::ThreadEdge)).needs_atomic);
-        assert!(plan(agg, ParallelInfo::basic(Strategy::WarpEdge)).needs_atomic);
+        assert!(!atomic(agg, Strategy::ThreadVertex)?);
+        assert!(!atomic(agg, Strategy::WarpVertex)?);
+        assert!(atomic(agg, Strategy::ThreadEdge)?);
+        assert!(atomic(agg, Strategy::WarpEdge)?);
         // Message creation never needs atomics: each edge is written once.
         let msg = OpInfo::message_creation_add();
-        assert!(!plan(msg, ParallelInfo::basic(Strategy::ThreadEdge)).needs_atomic);
-        assert!(!plan(msg, ParallelInfo::basic(Strategy::WarpEdge)).needs_atomic);
+        assert!(!atomic(msg, Strategy::ThreadEdge)?);
+        assert!(!atomic(msg, Strategy::WarpEdge)?);
+        Ok(())
     }
 
     #[test]

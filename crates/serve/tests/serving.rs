@@ -8,7 +8,7 @@ use std::time::Duration;
 use ugrapher_core::abstraction::OpInfo;
 use ugrapher_core::api::Runtime;
 use ugrapher_core::cache::PlanKey;
-use ugrapher_core::codegen_cuda::emit_ir;
+use ugrapher_core::codegen_cuda::emit_cuda;
 use ugrapher_core::ir::DeterminismClass;
 use ugrapher_core::schedule::{ParallelInfo, Strategy};
 use ugrapher_graph::generate::uniform_random;
@@ -175,13 +175,14 @@ fn concurrent_hits_are_bitwise_deterministic() {
         feat: FEAT,
         scalars: (false, false),
     };
-    let baseline_cuda = emit_ir(
+    let baseline_cuda = emit_cuda(
         &engine
             .plan_cache()
             .get(&key)
             .expect("warmup populated the cache")
-            .ir,
-    );
+            .plan,
+    )
+    .expect("cached plans emit");
 
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8)
@@ -192,13 +193,14 @@ fn concurrent_hits_are_bitwise_deterministic() {
                     let resp = engine
                         .run_sync(request(&graph).with_schedule(sched))
                         .expect("warm request");
-                    let cuda = emit_ir(
+                    let cuda = emit_cuda(
                         &engine
                             .plan_cache()
                             .get(&key)
                             .expect("entry stays resident")
-                            .ir,
-                    );
+                            .plan,
+                    )
+                    .expect("cached plans emit");
                     (resp, cuda)
                 })
             })
@@ -210,7 +212,7 @@ fn concurrent_hits_are_bitwise_deterministic() {
                 resp.result.output, baseline,
                 "Sequential kernels replay bitwise-identically"
             );
-            assert_eq!(cuda, baseline_cuda, "cached IR emits byte-identical CUDA");
+            assert_eq!(cuda, baseline_cuda, "cached plan emits byte-identical CUDA");
         }
     });
 

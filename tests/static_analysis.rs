@@ -2,9 +2,9 @@
 //! the `ugrapher::analyze` re-exports must compose with the graph, core and
 //! sim crates exactly as the README advertises.
 
-use ugrapher::analyze::{analyze_static, audit_plan, cross_check, AnalyzeError};
+use ugrapher::analyze::{analyze_static, audit_plan, cross_check, lint_ir, IrFinding};
 use ugrapher::core::abstraction::OpInfo;
-use ugrapher::core::ir::{AccessPattern, DeterminismClass};
+use ugrapher::core::ir::{AccessPattern, DeterminismClass, Stmt, UpdateKind};
 use ugrapher::core::plan::KernelPlan;
 use ugrapher::core::schedule::{ParallelInfo, Strategy};
 use ugrapher::graph::generate::uniform_random;
@@ -54,7 +54,7 @@ fn static_verdict_matches_dynamic_oracle_across_strategies() {
 fn tampered_plan_is_rejected_by_audit() {
     let graph = uniform_random(60, 400, 3);
     let schedule = ParallelInfo::basic(Strategy::WarpEdge);
-    let mut plan = KernelPlan::generate(
+    let plan = KernelPlan::generate(
         OpInfo::aggregation_sum(),
         schedule,
         graph.num_vertices(),
@@ -62,14 +62,20 @@ fn tampered_plan_is_rejected_by_audit() {
         FEAT,
     )
     .expect("plan generation succeeds");
-    assert!(plan.needs_atomic);
+    let mut report = audit_plan(&graph, &plan).expect("audit succeeds");
+    assert!(report.codegen.is_empty());
+    assert!(report.ir.store().update.is_atomic());
 
-    // Simulate a cached/deserialized plan whose atomic flag was dropped.
-    plan.needs_atomic = false;
-    match audit_plan(&graph, &plan) {
-        Err(AnalyzeError::AtomicMismatch { derived_atomic, .. }) => assert!(derived_atomic),
-        other => panic!("expected AtomicMismatch, got {other:?}"),
+    // Simulate a lowering that dropped the atomic update.
+    if let Some(Stmt::Store(store)) = report.ir.body.last_mut() {
+        store.update = UpdateKind::Accumulate;
     }
+    assert!(
+        lint_ir(&report.ir).contains(&IrFinding::AtomicContradiction {
+            verdict_atomic: true,
+            body_atomic: false,
+        })
+    );
 }
 
 #[test]
@@ -85,7 +91,7 @@ fn ir_verifier_passes_surface_through_the_report() {
         report.determinism.class,
         DeterminismClass::AtomicOrderDependent
     );
-    assert!(report.ir.store_races());
+    assert!(report.ir.store().update.is_atomic());
     assert_eq!(report.access.a, Some(AccessPattern::Gather));
     assert!(
         report.cuda.contains("atomicAdd"),
@@ -102,7 +108,7 @@ fn ir_verifier_passes_surface_through_the_report() {
     .expect("static analysis succeeds");
     assert_eq!(report.determinism.class, DeterminismClass::Sequential);
     assert!(report.determinism.class.bitwise_deterministic());
-    assert!(!report.ir.store_races());
+    assert!(!report.ir.store().update.is_atomic());
     assert!(!report.cuda.contains("atomicAdd(") && !report.cuda.contains("atomicCAS("));
 }
 
