@@ -141,6 +141,11 @@ mod tests {
                 ..
             })
         ));
+        assert_eq!(
+            ir.arith_per_element(),
+            1.0,
+            "the sum is the only arithmetic"
+        );
         // Real edge op: edge temporary materialised, store reads it.
         let ir = lower(&plan(
             OpInfo::weighted_aggregation_sum(),
@@ -150,6 +155,11 @@ mod tests {
         assert_eq!(ir.body.len(), 2);
         assert!(matches!(ir.body[0], Stmt::DefineEdgeTmp { .. }));
         assert_eq!(ir.store().value, Value::EdgeTmp);
+        assert_eq!(ir.arith_per_element(), 2.0);
+        // Copy gather: the store assigns, so only the edge stage computes.
+        let ir = lower(&plan(OpInfo::message_creation_add(), Strategy::ThreadEdge)).unwrap();
+        assert_eq!(ir.store().update, UpdateKind::Assign);
+        assert_eq!(ir.arith_per_element(), 1.0);
     }
 
     #[test]
