@@ -6,10 +6,9 @@
 //! This is the CI driver behind `analyze-registry`: a clean sweep proves
 //! that every lowered store's atomicity agrees with the static race
 //! verdict *and* the sim-trace write-log oracle on the whole operator
-//! space, that every
-//! load/store carries a discharged bounds proof, that every combination
-//! has a determinism label, and that no schedule or IR lint fires on any
-//! combination the tuner would legitimately propose.
+//! space, that every load/store carries a discharged bounds proof, that
+//! every combination has a determinism label, and that no schedule or IR
+//! lint fires on any combination the tuner would legitimately propose.
 //!
 //! Each sweep runs under an `analyze.sweep` span stamped with a fresh
 //! trace id (also recorded on the [`SweepReport`]), and per-combo verifier

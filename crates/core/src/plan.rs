@@ -136,25 +136,20 @@ mod tests {
     }
 
     #[test]
-    fn atomic_analysis_matches_strategy() -> Result<(), CoreError> {
+    fn atomic_analysis_matches_strategy() {
         let atomic = |op, s| {
-            Ok::<_, CoreError>(
-                lower(&plan(op, ParallelInfo::basic(s)))?
-                    .store()
-                    .update
-                    .is_atomic(),
-            )
+            let p = plan(op, ParallelInfo::basic(s));
+            lower(&p).unwrap().store().update.is_atomic()
         };
         let agg = OpInfo::aggregation_sum();
-        assert!(!atomic(agg, Strategy::ThreadVertex)?);
-        assert!(!atomic(agg, Strategy::WarpVertex)?);
-        assert!(atomic(agg, Strategy::ThreadEdge)?);
-        assert!(atomic(agg, Strategy::WarpEdge)?);
+        assert!(!atomic(agg, Strategy::ThreadVertex));
+        assert!(!atomic(agg, Strategy::WarpVertex));
+        assert!(atomic(agg, Strategy::ThreadEdge));
+        assert!(atomic(agg, Strategy::WarpEdge));
         // Message creation never needs atomics: each edge is written once.
         let msg = OpInfo::message_creation_add();
-        assert!(!atomic(msg, Strategy::ThreadEdge)?);
-        assert!(!atomic(msg, Strategy::WarpEdge)?);
-        Ok(())
+        assert!(!atomic(msg, Strategy::ThreadEdge));
+        assert!(!atomic(msg, Strategy::WarpEdge));
     }
 
     #[test]
