@@ -141,7 +141,8 @@ pub struct UGrapherResult {
     pub trace_id: u64,
     /// `true` when this invocation was served from the runtime's
     /// [`PlanCache`] (schedule selection, plan generation and determinism
-    /// classification were all skipped). Always `false` on a runtime without a cache.
+    /// classification were all skipped). Always `false` on a runtime
+    /// without a cache.
     pub plan_cache_hit: bool,
 }
 
