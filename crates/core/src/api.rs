@@ -140,9 +140,12 @@ pub struct UGrapherResult {
     /// lines and traces can be joined after the fact.
     pub trace_id: u64,
     /// `true` when this invocation was served from the runtime's
-    /// [`PlanCache`] (schedule selection, plan generation and determinism
-    /// classification were all skipped). Always `false` on a runtime
-    /// without a cache.
+    /// [`PlanCache`]: the schedule, plan, determinism class, downgrades and
+    /// `report` all came from the entry, and only the functional execution
+    /// that produced `output` ran. `report` is then the one measured on the
+    /// miss that filled the entry, on the same device and fidelity, so it is
+    /// bitwise-equal to a fresh simulation; no `sim.kernel` span is emitted.
+    /// Always `false` on a runtime without a cache.
     pub plan_cache_hit: bool,
 }
 
@@ -176,8 +179,9 @@ impl Runtime {
 
     /// Installs a compiled-plan cache: repeat requests with the same
     /// operator, graph version and operand shape skip schedule selection,
-    /// plan generation and determinism classification (see
-    /// [`PlanCache`]).
+    /// plan generation, determinism classification and simulation (see
+    /// [`PlanCache`]). Entries compiled by a runtime on another device or
+    /// fidelity are misses, so one cache can be shared across devices.
     /// Share one cache across runtime clones (e.g. serving workers) by
     /// cloning the [`Arc`].
     pub fn with_plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
@@ -472,10 +476,12 @@ impl Runtime {
         robustness.trace_id = trace_id;
 
         // Compiled-plan cache fast path: a hit replays the stored schedule,
-        // plan, determinism class and downgrades, skipping schedule
-        // selection, plan generation and classification. Downgrades are pushed
-        // directly (not via `record`) so hits do not re-bump the fallback
-        // metrics for decisions made once at compile time.
+        // plan, determinism class, downgrades and report, skipping schedule
+        // selection, plan generation, classification and simulation. Only
+        // the functional execution on the caller's operands runs either way.
+        // Downgrades are pushed directly (not via `record`) so hits do not
+        // re-bump the fallback metrics for decisions made once at compile
+        // time.
         let key = PlanKey {
             op: args.op,
             explicit: parallel,
@@ -483,23 +489,63 @@ impl Runtime {
             feat,
             scalars,
         };
-        if let Some(cached) = self.plan_cache.as_ref().and_then(|c| c.get(&key)) {
-            robustness
-                .downgrades
-                .extend(cached.downgrades.iter().cloned());
-            robustness.determinism = Some(cached.determinism);
-            return self.execute_plan(
-                graph,
-                args,
-                cached.schedule,
-                &cached.plan,
-                robustness,
-                trace_id,
-                true,
-            );
-        }
+        let hit = self
+            .plan_cache
+            .as_ref()
+            .and_then(|c| c.get_for(&key, &self.device, self.fidelity));
+        let plan_cache_hit = hit.is_some();
+        let entry = match hit {
+            Some(entry) => {
+                robustness
+                    .downgrades
+                    .extend(entry.downgrades.iter().cloned());
+                entry
+            }
+            None => {
+                let entry = self.compile(graph, &key, &mut robustness, trace_id)?;
+                match &self.plan_cache {
+                    Some(cache) => cache.insert(key, entry),
+                    None => Arc::new(entry),
+                }
+            }
+        };
+        robustness.determinism = Some(entry.determinism);
+        let output = functional::execute_traced(
+            graph.graph(),
+            &args.op,
+            &args.operands,
+            &self.recorder,
+            trace_id,
+        )?;
+        Ok(UGrapherResult {
+            output,
+            report: entry.report.clone(),
+            schedule: entry.schedule,
+            robustness,
+            trace_id,
+            plan_cache_hit,
+        })
+    }
 
-        let schedule = match parallel {
+    /// Everything a plan-cache miss derives for `key`: the schedule
+    /// (explicit and linted, or tuned), the plan, its determinism class, and
+    /// its simulated report on this runtime's device and fidelity.
+    /// Downgrades go to `robustness` and are copied into the entry.
+    fn compile(
+        &self,
+        graph: &GraphTensor<'_>,
+        key: &PlanKey,
+        robustness: &mut RobustnessReport,
+        trace_id: u64,
+    ) -> Result<CachedPlan, CoreError> {
+        let PlanKey {
+            op,
+            explicit,
+            feat,
+            scalars,
+            ..
+        } = *key;
+        let schedule = match explicit {
             Some(p) => {
                 let p = p.validated()?;
                 // Explicit schedules are honoured as given, but degenerate
@@ -515,17 +561,10 @@ impl Runtime {
                 }
                 p
             }
-            None => self.choose_with_fallback(
-                graph,
-                &args.op,
-                feat,
-                scalars,
-                &mut robustness,
-                trace_id,
-            )?,
+            None => self.choose_with_fallback(graph, &op, feat, scalars, robustness, trace_id)?,
         };
         let plan = KernelPlan::generate(
-            args.op,
+            op,
             schedule,
             graph.graph().num_vertices(),
             graph.graph().num_edges(),
@@ -533,57 +572,22 @@ impl Runtime {
         )?
         .with_scalar_operands(scalars.0, scalars.1);
         let determinism = crate::ir::classify_determinism(&crate::lower::lower(&plan)?);
-        robustness.determinism = Some(determinism);
-        if let Some(cache) = &self.plan_cache {
-            cache.insert(
-                key,
-                CachedPlan {
-                    schedule,
-                    plan: plan.clone(),
-                    determinism,
-                    downgrades: robustness.downgrades.clone(),
-                },
-            );
-        }
-        self.execute_plan(graph, args, schedule, &plan, robustness, trace_id, false)
-    }
-
-    /// Executes an already-compiled plan: functional evaluation plus
-    /// simulated measurement (the part of a request the plan cache cannot
-    /// skip).
-    #[allow(clippy::too_many_arguments)]
-    fn execute_plan(
-        &self,
-        graph: &GraphTensor<'_>,
-        args: &OpArgs<'_>,
-        schedule: ParallelInfo,
-        plan: &KernelPlan,
-        robustness: RobustnessReport,
-        trace_id: u64,
-        plan_cache_hit: bool,
-    ) -> Result<UGrapherResult, CoreError> {
-        let output = functional::execute_traced(
-            graph.graph(),
-            &args.op,
-            &args.operands,
-            &self.recorder,
-            trace_id,
-        )?;
         let report = measure(
             graph.graph(),
-            plan,
+            &plan,
             &MeasureOptions::new(self.device.clone())
                 .with_fidelity(self.fidelity)
                 .with_recorder(self.recorder.clone())
                 .with_trace_id(trace_id),
         );
-        Ok(UGrapherResult {
-            output,
-            report,
+        Ok(CachedPlan {
             schedule,
-            robustness,
-            trace_id,
-            plan_cache_hit,
+            plan,
+            determinism,
+            downgrades: robustness.downgrades.clone(),
+            report,
+            device: self.device.clone(),
+            fidelity: self.fidelity,
         })
     }
 

@@ -4,26 +4,38 @@
 //! compilation and schedule selection happen *once* and are then reused
 //! across every `update_all`/`apply_edges` call of a model. A [`PlanCache`]
 //! makes that reuse explicit at the runtime layer: it memoizes, per
-//! request shape, everything [`crate::api::Runtime::run`] derives before a
-//! kernel can execute —
+//! request shape, everything [`crate::api::Runtime::run`] derives before
+//! and besides executing a kernel on the caller's operands —
 //!
 //! * the **chosen schedule** (the output of the predictor or the budgeted
 //!   grid search, by far the most expensive stage),
 //! * the generated [`KernelPlan`] (what the emitter and the simulator
 //!   lower and render; lowering costs microseconds, so the IR itself is
 //!   not kept),
-//! * the [`DeterminismClass`] of the lowered kernel, and
+//! * the [`DeterminismClass`] of the lowered kernel,
 //! * the [`Downgrade`]s recorded while choosing (so a cache hit reports
-//!   the same robustness verdict as the miss that populated it).
+//!   the same robustness verdict as the miss that populated it), and
+//! * the [`SimReport`] measured on that miss, with the [`DeviceConfig`]
+//!   and [`Fidelity`] it was measured under. A report is a pure function
+//!   of the plan, the graph structure, the device and the fidelity; the
+//!   key covers the first two and the entry records the other two, so a
+//!   hit returns it instead of simulating the same kernel again.
+//!
+//! Outputs are never cached: feature values are not part of the key, so
+//! every call, hit or miss, executes on the operands it was given.
 //!
 //! The key ([`PlanKey`]) is the full set of inputs those derivations
-//! depend on: operator semantics, the explicit schedule (or `None` for
-//! auto-tuned entries), the graph's structural fingerprint
-//! ([`ugrapher_graph::Graph::structural_fingerprint`]), the feature
-//! dimension, and the scalar-broadcast shape of each operand. A mutated
-//! graph (changed nnz, rewired edge, renumbered edge ids) changes the
-//! fingerprint and therefore misses; [`PlanCache::invalidate_graph`]
+//! depend on apart from the device: operator semantics, the explicit
+//! schedule (or `None` for auto-tuned entries), the graph's structural
+//! fingerprint ([`ugrapher_graph::Graph::structural_fingerprint`]), the
+//! feature dimension, and the scalar-broadcast shape of each operand. A
+//! mutated graph (changed nnz, rewired edge, renumbered edge ids) changes
+//! the fingerprint and therefore misses; [`PlanCache::invalidate_graph`]
 //! additionally drops the stale entries when a graph version is retired.
+//! A runtime looks entries up with [`PlanCache::get_for`], which counts an
+//! entry compiled under another device or fidelity as a miss, so one cache
+//! shared by runtimes on different devices never replays another device's
+//! schedule or report; the runtime recompiles and replaces the entry.
 //!
 //! The cache is bounded (FIFO eviction) and thread-safe; hits and misses
 //! are counted both locally ([`PlanCache::stats`]) and in the
@@ -35,15 +47,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use ugrapher_obs::{metrics, MetricsRegistry};
+use ugrapher_sim::{DeviceConfig, SimReport};
 
 use crate::abstraction::OpInfo;
+use crate::exec::Fidelity;
 use crate::ir::DeterminismClass;
 use crate::plan::KernelPlan;
 use crate::robustness::Downgrade;
 use crate::schedule::ParallelInfo;
 
-/// Everything a compiled plan depends on; two requests with equal keys can
-/// share one [`CachedPlan`].
+/// Everything a compiled plan depends on apart from the device; two
+/// requests with equal keys on the same device and fidelity can share one
+/// [`CachedPlan`] (see [`PlanCache::get_for`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     /// Operator semantics.
@@ -77,6 +92,13 @@ pub struct CachedPlan {
     /// [`crate::robustness::RobustnessReport`] of every hit so cached and
     /// uncached requests report the same verdict.
     pub downgrades: Vec<Downgrade>,
+    /// The simulated report measured when this entry was compiled,
+    /// returned by every hit in place of a new simulation.
+    pub report: SimReport,
+    /// The device `report` was measured on.
+    pub device: DeviceConfig,
+    /// The trace fidelity `report` was measured at.
+    pub fidelity: Fidelity,
 }
 
 /// Point-in-time counters of one cache instance (process-global metrics
@@ -156,15 +178,37 @@ impl PlanCache {
         Arc::new(Self::new(capacity))
     }
 
-    /// Looks up a compiled plan, counting the hit or miss.
+    /// Looks up a compiled plan for any device and fidelity, counting the
+    /// hit or miss.
     pub fn get(&self, key: &PlanKey) -> Option<Arc<CachedPlan>> {
+        self.lookup(key, |_| true)
+    }
+
+    /// Looks up a compiled plan measured on `device` at `fidelity`,
+    /// counting the hit or miss. An entry compiled under another device or
+    /// fidelity is a miss; the caller recompiles and replaces it.
+    pub fn get_for(
+        &self,
+        key: &PlanKey,
+        device: &DeviceConfig,
+        fidelity: Fidelity,
+    ) -> Option<Arc<CachedPlan>> {
+        self.lookup(key, |c| c.fidelity == fidelity && c.device == *device)
+    }
+
+    fn lookup(
+        &self,
+        key: &PlanKey,
+        usable: impl FnOnce(&CachedPlan) -> bool,
+    ) -> Option<Arc<CachedPlan>> {
         let found = self
             .inner
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .map
             .get(key)
-            .cloned();
+            .cloned()
+            .filter(|c| usable(c));
         match &found {
             Some(_) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -278,6 +322,9 @@ mod tests {
             plan,
             determinism,
             downgrades: Vec::new(),
+            report: SimReport::empty(),
+            device: DeviceConfig::v100(),
+            fidelity: Fidelity::Auto,
         }
     }
 
@@ -329,6 +376,20 @@ mod tests {
         };
         cache.insert(auto, entry(8));
         assert!(cache.get(&explicit).is_none());
+    }
+
+    #[test]
+    fn scoped_lookup_misses_other_devices_and_fidelities() {
+        let cache = PlanCache::new(8);
+        cache.insert(key(1, 8), entry(8));
+        let v100 = DeviceConfig::v100();
+        assert!(cache.get_for(&key(1, 8), &v100, Fidelity::Auto).is_some());
+        assert!(cache.get_for(&key(1, 8), &v100, Fidelity::Full).is_none());
+        assert!(cache
+            .get_for(&key(1, 8), &DeviceConfig::a100(), Fidelity::Auto)
+            .is_none());
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (1, 2));
     }
 
     #[test]

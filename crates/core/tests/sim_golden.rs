@@ -72,22 +72,8 @@ impl Fnv {
     }
 
     fn report(&mut self, r: &SimReport) {
-        self.word(r.kernels as u64);
-        for x in [
-            r.time_ms,
-            r.achieved_occupancy,
-            r.theoretical_occupancy,
-            r.sm_efficiency,
-            r.l1_hit_rate,
-            r.l2_hit_rate,
-            r.dram_bytes,
-            r.l2_transactions,
-            r.l1_transactions,
-            r.atomic_ops,
-            r.max_atomic_conflict,
-            r.compute_cycles,
-        ] {
-            self.word(x.to_bits());
+        for w in r.bits() {
+            self.word(w);
         }
     }
 

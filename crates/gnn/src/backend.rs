@@ -7,11 +7,11 @@
 //! (DGL / PyG / GNNAdvisor vs uGrapher, §6–7).
 
 use std::collections::HashMap;
-
 use std::sync::Mutex;
 
 use ugrapher_core::abstraction::OpInfo;
 use ugrapher_core::api::{GraphTensor, OpArgs, Runtime};
+use ugrapher_core::cache::PlanCache;
 use ugrapher_core::exec::OpOperands;
 use ugrapher_core::schedule::ParallelInfo;
 use ugrapher_core::tune::Predictor;
@@ -56,38 +56,38 @@ pub trait GraphOpBackend {
 /// The uGrapher backend: every operator runs under an adaptively chosen
 /// schedule (predictor if installed, otherwise sampled grid search), cached
 /// per (site, graph shape).
+///
+/// Its runtime also carries a [`PlanCache`], so a repeated call with the
+/// same operator, graph version and operand shape (every op site of a
+/// second `run_inference` pass) reuses the compiled plan and its measured
+/// report instead of re-planning and re-simulating; only the functional
+/// execution on the new operands runs again.
 pub struct UGrapherBackend {
     runtime: Runtime,
-    device: DeviceConfig,
     schedule_cache: Mutex<HashMap<(String, usize, usize, usize), ParallelInfo>>,
 }
 
 impl UGrapherBackend {
     /// Creates a backend that tunes by sampled grid search.
     pub fn new(device: DeviceConfig) -> Self {
-        Self {
-            runtime: Runtime::new(device.clone()),
-            device,
-            schedule_cache: Mutex::new(HashMap::new()),
-        }
+        Self::on(Runtime::new(device))
     }
 
     /// Creates a backend that tunes with a trained predictor (the paper's
     /// default deployment, §5.4).
     pub fn with_predictor(device: DeviceConfig, predictor: Predictor) -> Self {
-        Self {
-            runtime: Runtime::new(device.clone()).with_predictor(predictor),
-            device,
-            schedule_cache: Mutex::new(HashMap::new()),
-        }
+        Self::on(Runtime::new(device).with_predictor(predictor))
     }
 
     /// Creates a backend whose grid search considers only the four basic
     /// strategies — much faster tuning, used by tests and quick runs.
     pub fn quick(device: DeviceConfig) -> Self {
+        Self::on(Runtime::new(device).with_search_space(ParallelInfo::basics()))
+    }
+
+    fn on(runtime: Runtime) -> Self {
         Self {
-            runtime: Runtime::new(device.clone()).with_search_space(ParallelInfo::basics()),
-            device,
+            runtime: runtime.with_plan_cache(PlanCache::shared(PlanCache::DEFAULT_CAPACITY)),
             schedule_cache: Mutex::new(HashMap::new()),
         }
     }
@@ -137,7 +137,7 @@ impl GraphOpBackend for UGrapherBackend {
     }
 
     fn device(&self) -> &DeviceConfig {
-        &self.device
+        self.runtime.device()
     }
 
     fn run_op(
@@ -188,11 +188,15 @@ mod tests {
         let (out1, rep1) = backend
             .run_op(&g, &site, &op, &OpOperands::single(&x))
             .unwrap();
-        let (out2, _) = backend
+        let (out2, rep2) = backend
             .run_op(&g, &site, &op, &OpOperands::single(&x))
             .unwrap();
         assert_eq!(out1, out2);
         assert!(rep1.time_ms > 0.0);
+        // The repeat is a plan-cache hit that returns the measured report.
+        let stats = backend.runtime.plan_cache().unwrap().stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+        assert_eq!(rep1.bits(), rep2.bits());
         assert_eq!(
             backend
                 .schedule_cache

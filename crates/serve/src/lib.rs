@@ -11,7 +11,8 @@
 //!   worker owning a [`Runtime`](ugrapher_core::api::Runtime) clone that
 //!   shares one compiled-plan cache
 //!   ([`ugrapher_core::cache::PlanCache`]) — warm requests skip schedule
-//!   selection, plan generation and IR lowering entirely;
+//!   selection, plan generation, IR lowering and simulation entirely, and
+//!   pay only the functional execution on their own operands;
 //! * **admission control**: a full queue sheds the request *at submit
 //!   time* with [`ServeError::Overloaded`] instead of queueing unbounded
 //!   work;

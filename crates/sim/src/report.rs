@@ -99,6 +99,27 @@ impl SimReport {
         }
     }
 
+    /// Every field's exact bits (`kernels` first, then the floats in
+    /// declaration order), for bitwise comparison: unlike `==`, equal bits
+    /// also tell `0.0` from `-0.0` and match a NaN with itself.
+    pub fn bits(&self) -> [u64; 13] {
+        [
+            self.kernels as u64,
+            self.time_ms.to_bits(),
+            self.achieved_occupancy.to_bits(),
+            self.theoretical_occupancy.to_bits(),
+            self.sm_efficiency.to_bits(),
+            self.l1_hit_rate.to_bits(),
+            self.l2_hit_rate.to_bits(),
+            self.dram_bytes.to_bits(),
+            self.l2_transactions.to_bits(),
+            self.l1_transactions.to_bits(),
+            self.atomic_ops.to_bits(),
+            self.max_atomic_conflict.to_bits(),
+            self.compute_cycles.to_bits(),
+        ]
+    }
+
     /// Merges an iterator of reports.
     pub fn merge_all<'a>(reports: impl IntoIterator<Item = &'a SimReport>) -> Self {
         reports

@@ -84,6 +84,9 @@ EOF
 echo "== simulator + codegen: registry-wide golden digests =="
 cargo test --release -p ugrapher-core --test sim_golden -- --ignored
 
+echo "== benchmark self-test: perfbench (hit rates, stage coverage, sim_time_ms repeatability) =="
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "== tier-1: cargo test -q =="
 cargo test -q
 

@@ -4,6 +4,7 @@
 
 use ugrapher::core::abstraction::OpInfo;
 use ugrapher::core::api::{GraphTensor, OpArgs, Runtime};
+use ugrapher::core::cache::PlanCache;
 use ugrapher::core::schedule::ParallelInfo;
 use ugrapher::core::tune::TuneBudget;
 use ugrapher::graph::generate::uniform_random;
@@ -159,6 +160,37 @@ fn explicit_schedule_skips_tuner_spans() {
     assert_eq!(run[0].kind, SpanKind::Runtime);
     // Exactly one kernel measurement: the executed schedule itself.
     assert_eq!(named(&spans, "sim.kernel").len(), 1);
+}
+
+/// A plan-cache miss simulates its kernel once; a hit reuses the entry's
+/// report, so its `ugrapher.run` span says `plan_cache_hit = true` and no
+/// `sim.kernel` span is emitted: kernel spans count real simulations only.
+#[test]
+fn plan_cache_hit_emits_no_kernel_span() {
+    let (g, x) = setup();
+    let graph = GraphTensor::new(&g);
+    let (rec, ring) = ring_recorder();
+    let rt = Runtime::new(DeviceConfig::v100())
+        .with_recorder(rec)
+        .with_plan_cache(PlanCache::shared(PlanCache::DEFAULT_CAPACITY));
+    let args = OpArgs::fused(OpInfo::aggregation_sum(), &x);
+    let schedule = Some(ParallelInfo::basics()[1]);
+
+    for hit in [false, true] {
+        let res = rt.run(&graph, &args, schedule).expect("run succeeds");
+        assert_eq!(res.plan_cache_hit, hit);
+        let spans = ring.snapshot();
+        let run = named(&spans, "ugrapher.run");
+        assert_eq!(run.len(), 1);
+        assert_eq!(run[0].attr("plan_cache_hit"), Some(&AttrValue::Bool(hit)));
+        assert_eq!(
+            named(&spans, "sim.kernel").len(),
+            usize::from(!hit),
+            "a miss simulates once, a hit never"
+        );
+        assert_eq!(named(&spans, "exec.functional").len(), 1);
+        ring.clear();
+    }
 }
 
 /// The disabled recorder changes nothing about the computation: identical
