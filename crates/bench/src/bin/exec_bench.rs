@@ -1,0 +1,236 @@
+//! Functional-executor and admission benchmark: host time of
+//! `exec::execute` for the serve workload's three operators plus max
+//! aggregation, and of request admission (`GraphTensor::new` plus two
+//! `Tensor2::validate_finite` calls), on three graph sizes at feature
+//! width 32.
+//!
+//! Usage: `exec_bench [--smoke] [--slot <name>]`. A run replaces one slot
+//! of `results/BENCH_exec.json` and keeps the others, so the file holds
+//! `before` (measured on the parent commit) and `after` side by side, plus
+//! their ratio. `--slot` defaults to `after`; `--smoke` runs one short
+//! repetition without the largest graph into the `smoke` slot, which CI
+//! checks for shape only (no wall-clock threshold).
+//!
+//! Each figure is the median over repetitions of the mean host µs per
+//! call; a repetition repeats the call until it has run for a fixed time,
+//! after one untimed warm-up call. Admission is also split into its parts
+//! (fingerprint, structural validation, degree statistics, one finite
+//! check) so the cost of each check is on record.
+
+// Benchmark driver: exiting on a broken invariant is the right behaviour.
+#![allow(clippy::unwrap_used)]
+
+use std::hint::black_box;
+use std::time::{Duration, Instant};
+
+use ugrapher_bench::{median, print_table, save_slot};
+use ugrapher_core::abstraction::OpInfo;
+use ugrapher_core::api::GraphTensor;
+use ugrapher_core::exec::{execute, OpOperands};
+use ugrapher_graph::generate::{DegreeModel, GraphSpec};
+use ugrapher_graph::Graph;
+use ugrapher_tensor::Tensor2;
+use ugrapher_util::json::Value;
+use ugrapher_util::rng::StdRng;
+
+const FEAT: usize = 32;
+const REPS: usize = 7;
+
+/// The benchmark's graphs, by name: serve-sized small and medium graphs
+/// and one larger one.
+fn graphs(smoke: bool) -> Vec<(&'static str, Graph)> {
+    let sizes: &[(&str, usize, usize)] = if smoke {
+        &[("small", 500, 2_000), ("medium", 3_000, 12_000)]
+    } else {
+        &[
+            ("small", 500, 2_000),
+            ("medium", 3_000, 12_000),
+            ("large", 16_000, 128_000),
+        ]
+    };
+    sizes
+        .iter()
+        .map(|&(name, nv, ne)| {
+            let g = GraphSpec {
+                num_vertices: nv,
+                num_edges: ne,
+                degree_model: DegreeModel::TargetStd { std: 4.0 },
+                locality: 0.5,
+                seed: ne as u64,
+            }
+            .build();
+            (name, g)
+        })
+        .collect()
+}
+
+/// Seeded values in `[-1, 1)`.
+fn tensor(rows: usize, cols: usize, seed: u64) -> Tensor2 {
+    let mut rng = StdRng::seed_from_u64(seed);
+    Tensor2::from_fn(rows, cols, |_, _| rng.random::<f32>() * 2.0 - 1.0)
+}
+
+/// Median over `reps` repetitions of the mean µs per `f()` call. A
+/// repetition repeats the call for at least `min_time`.
+fn time_us(reps: usize, min_time: Duration, mut f: impl FnMut()) -> f64 {
+    f();
+    let mut rep = || {
+        let (t0, mut calls) = (Instant::now(), 0u32);
+        while calls == 0 || t0.elapsed() < min_time {
+            f();
+            calls += 1;
+        }
+        t0.elapsed().as_secs_f64() * 1e6 / f64::from(calls)
+    };
+    median((0..reps).map(|_| rep()).collect())
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    let smoke = args.iter().any(|a| a == "--smoke");
+    let slot = match args.iter().position(|a| a == "--slot") {
+        Some(i) => args.get(i + 1).expect("--slot needs a name").clone(),
+        None if smoke => "smoke".to_owned(),
+        None => "after".to_owned(),
+    };
+    let (reps, min_time) = if smoke {
+        (1, Duration::from_millis(2))
+    } else {
+        (REPS, Duration::from_millis(40))
+    };
+
+    let mut exec_cells = Vec::new();
+    let mut admit_cells = Vec::new();
+    let mut exec_rows = Vec::new();
+    let mut admit_rows = Vec::new();
+    for (name, g) in graphs(smoke) {
+        let (nv, ne) = (g.num_vertices(), g.num_edges());
+        let x = tensor(nv, FEAT, 1);
+        let y = tensor(nv, FEAT, 2);
+        let w = tensor(ne, 1, 3).map(|v| v.abs() + 0.1);
+        let ops = [
+            (
+                "weighted_sum",
+                OpInfo::weighted_aggregation_sum(),
+                OpOperands::pair(&x, &w),
+            ),
+            (
+                "message_add",
+                OpInfo::message_creation_add(),
+                OpOperands::pair(&x, &y),
+            ),
+            ("mean", OpInfo::aggregation_mean(), OpOperands::single(&x)),
+            ("max", OpInfo::aggregation_max(), OpOperands::single(&x)),
+        ];
+        for (label, op, operands) in ops {
+            let us = time_us(reps, min_time, || {
+                black_box(execute(black_box(&g), &op, &operands).unwrap());
+            });
+            exec_rows.push(vec![
+                name.to_owned(),
+                nv.to_string(),
+                ne.to_string(),
+                label.to_owned(),
+                format!("{us:.1}"),
+            ]);
+            exec_cells.push(Value::obj(vec![
+                ("graph", Value::Str(name.to_owned())),
+                ("vertices", Value::Num(nv as f64)),
+                ("edges", Value::Num(ne as f64)),
+                ("op", Value::Str(label.to_owned())),
+                ("execute_us", Value::Num(us)),
+            ]));
+        }
+
+        let admit_us = time_us(reps, min_time, || {
+            let gt = GraphTensor::new(black_box(&g));
+            assert!(gt.validation_error().is_none());
+            black_box(gt);
+            black_box(&x).validate_finite().unwrap();
+            black_box(&y).validate_finite().unwrap();
+        });
+        let fingerprint_us = time_us(reps, min_time, || {
+            black_box(black_box(&g).structural_fingerprint());
+        });
+        let validate_us = time_us(reps, min_time, || {
+            black_box(&g).validate().unwrap();
+        });
+        let stats_us = time_us(reps, min_time, || {
+            black_box(black_box(&g).degree_stats());
+        });
+        let finite_us = time_us(reps, min_time, || {
+            black_box(&x).validate_finite().unwrap();
+        });
+        admit_rows.push(vec![
+            name.to_owned(),
+            nv.to_string(),
+            ne.to_string(),
+            format!("{admit_us:.1}"),
+            format!("{fingerprint_us:.1}"),
+            format!("{validate_us:.1}"),
+            format!("{stats_us:.1}"),
+            format!("{finite_us:.1}"),
+        ]);
+        admit_cells.push(Value::obj(vec![
+            ("graph", Value::Str(name.to_owned())),
+            ("vertices", Value::Num(nv as f64)),
+            ("edges", Value::Num(ne as f64)),
+            ("admit_us", Value::Num(admit_us)),
+            ("fingerprint_us", Value::Num(fingerprint_us)),
+            ("validate_us", Value::Num(validate_us)),
+            ("degree_stats_us", Value::Num(stats_us)),
+            ("finite_us", Value::Num(finite_us)),
+        ]));
+    }
+
+    print_table(
+        &format!("exec::execute host time, feat {FEAT} ({slot})"),
+        &["graph", "|V|", "|E|", "op", "us/execute"],
+        &exec_rows,
+    );
+    print_table(
+        &format!("admission host time ({slot})"),
+        &[
+            "graph",
+            "|V|",
+            "|E|",
+            "admit us",
+            "fingerprint",
+            "validate",
+            "degree stats",
+            "finite x1",
+        ],
+        &admit_rows,
+    );
+    let mean = |cells: &[Value], key: &str| {
+        cells
+            .iter()
+            .map(|c| c.get(key).and_then(Value::as_f64).unwrap())
+            .sum::<f64>()
+            / cells.len() as f64
+    };
+    let mean_execute_us = mean(&exec_cells, "execute_us");
+    let mean_admit_us = mean(&admit_cells, "admit_us");
+    println!("mean over cells: {mean_execute_us:.1} us/execute, {mean_admit_us:.1} us/admission");
+
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let run = Value::obj(vec![
+        ("smoke", Value::Bool(smoke)),
+        ("reps", Value::Num(reps as f64)),
+        ("host_threads", Value::Num(threads as f64)),
+        ("feat", Value::Num(FEAT as f64)),
+        ("mean_execute_us", Value::Num(mean_execute_us)),
+        ("mean_admit_us", Value::Num(mean_admit_us)),
+        ("execute", Value::Arr(exec_cells)),
+        ("admit", Value::Arr(admit_cells)),
+    ]);
+    save_slot(
+        "BENCH_exec",
+        &slot,
+        run,
+        &[
+            ("mean_execute_us", &["mean_execute_us"]),
+            ("mean_admit_us", &["mean_admit_us"]),
+        ],
+    );
+}

@@ -20,7 +20,7 @@
 
 use std::time::Instant;
 
-use ugrapher_bench::{print_table, results_dir};
+use ugrapher_bench::{median, print_table, save_slot};
 use ugrapher_core::abstraction::OpInfo;
 use ugrapher_core::exec::{measure, Fidelity, MeasureOptions};
 use ugrapher_core::plan::KernelPlan;
@@ -29,7 +29,7 @@ use ugrapher_core::tune::{grid_search_budgeted, TuneBudget};
 use ugrapher_graph::generate::{DegreeModel, GraphSpec};
 use ugrapher_graph::Graph;
 use ugrapher_sim::DeviceConfig;
-use ugrapher_util::json::{self, Value};
+use ugrapher_util::json::Value;
 
 const FEAT: usize = 32;
 const REPS: usize = 7;
@@ -80,11 +80,6 @@ fn ops() -> Vec<(OpInfo, (bool, bool))> {
         (OpInfo::message_creation_add(), (false, false)),
         (OpInfo::weighted_aggregation_sum(), (false, true)),
     ]
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
 }
 
 /// Host µs per `measure` for one cell: every op × fidelity once.
@@ -208,28 +203,13 @@ fn main() {
         ),
     ]);
 
-    let path = results_dir().join("BENCH_sim.json");
-    let mut doc = match std::fs::read_to_string(&path).ok().map(|s| json::parse(&s)) {
-        Some(Ok(Value::Obj(m))) => m,
-        _ => Default::default(),
-    };
-    doc.insert(slot, run);
-    let at = |slot: &str, path: &[&str]| {
-        path.iter()
-            .try_fold(doc.get(slot)?, |v, k| v.get(k))?
-            .as_f64()
-    };
-    let ratio = |path: &[&str]| Some(at("after", path)? / at("before", path)?);
-    if let (Some(m), Some(g)) = (ratio(&["mean_measure_us"]), ratio(&["grid_search", "ms"])) {
-        println!("after/before: measure {m:.3}x, grid search {g:.3}x");
-        doc.insert(
-            "after_over_before".to_owned(),
-            Value::obj(vec![
-                ("mean_measure_us", Value::Num(m)),
-                ("grid_search_ms", Value::Num(g)),
-            ]),
-        );
-    }
-    std::fs::write(&path, Value::Obj(doc).to_string_compact()).expect("can write BENCH_sim.json");
-    println!("[saved {}]", path.display());
+    save_slot(
+        "BENCH_sim",
+        &slot,
+        run,
+        &[
+            ("mean_measure_us", &["mean_measure_us"]),
+            ("grid_search_ms", &["grid_search", "ms"]),
+        ],
+    );
 }

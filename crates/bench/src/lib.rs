@@ -16,7 +16,7 @@
 use std::io::Write;
 use std::path::PathBuf;
 
-use ugrapher_util::json::{FromJson, ToJson};
+use ugrapher_util::json::{self, FromJson, ToJson, Value};
 
 use ugrapher_baselines::{DglBackend, GnnAdvisorBackend, PygBackend};
 use ugrapher_gnn::{run_inference, GraphOpBackend, ModelConfig, ModelKind, UGrapherBackend};
@@ -154,6 +154,48 @@ pub fn save_json<T: ToJson>(name: &str, value: &T) {
     let json = ugrapher_util::json::to_string(value);
     f.write_all(json.as_bytes())
         .expect("can write results file");
+    println!("[saved {}]", path.display());
+}
+
+/// Median of `xs` (the upper one for an even count); `NaN` when empty.
+pub fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs.get(xs.len() / 2).copied().unwrap_or(f64::NAN)
+}
+
+/// Replaces slot `slot` of `results/<name>.json` with `run`, keeping the
+/// other slots, so one file holds a `before` run (measured on the parent
+/// commit) beside the `after` run and a `smoke` run. When both `before`
+/// and `after` hold every figure in `ratios` (a result key and its path
+/// inside a run), their `after / before` ratios are stored under
+/// `after_over_before` and printed.
+pub fn save_slot(name: &str, slot: &str, run: Value, ratios: &[(&str, &[&str])]) {
+    let path = results_dir().join(format!("{name}.json"));
+    let mut doc = match std::fs::read_to_string(&path).ok().map(|s| json::parse(&s)) {
+        Some(Ok(Value::Obj(m))) => m,
+        _ => Default::default(),
+    };
+    doc.insert(slot.to_owned(), run);
+    let at = |slot: &str, path: &[&str]| {
+        path.iter()
+            .try_fold(doc.get(slot)?, |v, k| v.get(k))?
+            .as_f64()
+    };
+    let ratios: Option<Vec<(&str, f64)>> = ratios
+        .iter()
+        .map(|&(key, path)| Some((key, at("after", path)? / at("before", path)?)))
+        .collect();
+    if let Some(ratios) = ratios {
+        let shown: Vec<String> = ratios.iter().map(|(k, r)| format!("{k} {r:.3}x")).collect();
+        println!("after/before: {}", shown.join(", "));
+        let obj = ratios
+            .into_iter()
+            .map(|(k, r)| (k, Value::Num(r)))
+            .collect();
+        doc.insert("after_over_before".to_owned(), Value::obj(obj));
+    }
+    std::fs::write(&path, Value::Obj(doc).to_string_compact())
+        .unwrap_or_else(|e| panic!("can write {}: {e}", path.display()));
     println!("[saved {}]", path.display());
 }
 

@@ -64,6 +64,7 @@ impl EdgeOp {
     }
 
     /// Applies the op to scalar operands.
+    #[inline]
     pub fn apply(self, a: f32, b: f32) -> f32 {
         match self {
             EdgeOp::CopyLhs => a,
@@ -124,6 +125,7 @@ impl GatherOp {
     }
 
     /// Combines the accumulator with one edge value.
+    #[inline]
     pub fn apply(self, acc: f32, edge: f32) -> f32 {
         match self {
             GatherOp::CopyLhs => acc,

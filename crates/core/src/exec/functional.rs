@@ -3,7 +3,7 @@
 use ugrapher_graph::Graph;
 use ugrapher_tensor::Tensor2;
 
-use crate::abstraction::{GatherOp, OpInfo, TensorType};
+use crate::abstraction::{EdgeOp, GatherOp, OpInfo, TensorType};
 use crate::CoreError;
 
 /// The tensor operands of one operator invocation (matching the `Tensor_A`
@@ -87,6 +87,15 @@ pub(crate) fn check_shapes(
     op.validate()?;
     let fa = check_operand('A', op.a, operands.a, graph)?;
     let fb = check_operand('B', op.b, operands.b, graph)?;
+    // A zero-width operand is rejected before its partner's width is
+    // considered: against a one-column partner it would otherwise pass as
+    // a broadcast of nothing.
+    if fa == Some(0) || fb == Some(0) {
+        return Err(CoreError::FeatureMismatch {
+            expected: 1,
+            found: 0,
+        });
+    }
     let feat = match (fa, fb) {
         (Some(x), Some(y)) if x != y && x != 1 && y != 1 => {
             return Err(CoreError::FeatureMismatch {
@@ -98,12 +107,6 @@ pub(crate) fn check_shapes(
         (Some(x), None) | (None, Some(x)) => x,
         (None, None) => unreachable!("validate() requires at least one operand"),
     };
-    if feat == 0 {
-        return Err(CoreError::FeatureMismatch {
-            expected: 1,
-            found: 0,
-        });
-    }
     Ok(feat)
 }
 
@@ -173,9 +176,8 @@ fn execute_inner(
 ) -> Result<Tensor2, CoreError> {
     let feat = check_shapes(graph, op, operands)?;
     let nv = graph.num_vertices();
-    let ne = graph.num_edges();
     let out_rows = match op.c {
-        TensorType::Edge => ne,
+        TensorType::Edge => graph.num_edges(),
         TensorType::DstV => nv,
         _ => unreachable!("validate() restricts C"),
     };
@@ -186,44 +188,16 @@ fn execute_inner(
         0.0
     };
     let mut out = Tensor2::full(out_rows, feat, init);
-
-    fn fetch_row(
-        t: TensorType,
-        tensor: Option<&Tensor2>,
-        src: u32,
-        dst: usize,
-        eid: u32,
-    ) -> Option<&[f32]> {
-        tensor.map(|ten| match t {
-            TensorType::SrcV => ten.row(src as usize),
-            TensorType::DstV => ten.row(dst),
-            TensorType::Edge => ten.row(eid as usize),
-            TensorType::Null => unreachable!(),
-        })
-    }
-
-    for dst in 0..nv {
-        for (src, eid) in graph.in_neighbors(dst) {
-            let a_row = fetch_row(op.a, operands.a, src, dst, eid);
-            let b_row = fetch_row(op.b, operands.b, src, dst, eid);
-            let c_row_idx = match op.c {
-                TensorType::Edge => eid as usize,
-                _ => dst,
-            };
-            let c_row = out.row_mut(c_row_idx);
-            for f in 0..feat {
-                // A one-column operand broadcasts its single value; any
-                // other width was already checked to equal `feat` by
-                // `check_shapes`, so the indexing is strict — no silent
-                // clamping of mismatched rows.
-                let at = |r: &[f32]| if r.len() == 1 { r[0] } else { r[f] };
-                let av = a_row.map_or(0.0, at);
-                let bv = b_row.map_or(0.0, at);
-                let tmp = op.edge_op.apply(av, bv);
-                c_row[f] = op.gather_op.apply(c_row[f], tmp);
-            }
-        }
-    }
+    let a = Operand::new(op.a, operands.a, feat);
+    let b = Operand::new(op.b, operands.b, feat);
+    specialise(op.edge_op, op.gather_op, a.full, b.full)(
+        graph,
+        a,
+        b,
+        op.c,
+        feat,
+        out.as_mut_slice(),
+    );
 
     // Post-passes over vertex outputs: mean normalization and the
     // zero-default for reduction identities on isolated vertices.
@@ -244,10 +218,128 @@ fn execute_inner(
     Ok(out)
 }
 
+/// An absent operand reads as this one-element zero row.
+const ZERO_ROW: [f32; 1] = [0.0];
+
+/// One input operand as the edge loop reads it: row-major data and the
+/// index (`src`, `dst` or edge id) that selects its row. A full operand's
+/// rows are `feat` wide; a broadcast one (a single column against a wider
+/// partner, or an absent operand) is one element wide.
+#[derive(Clone, Copy)]
+struct Operand<'a> {
+    data: &'a [f32],
+    index: TensorType,
+    full: bool,
+}
+
+impl<'a> Operand<'a> {
+    /// `tensor` has passed [`check_shapes`] against `ty`, so a present
+    /// operand is either `feat` or one column wide.
+    fn new(ty: TensorType, tensor: Option<&'a Tensor2>, feat: usize) -> Self {
+        match tensor {
+            Some(t) => Self {
+                data: t.as_slice(),
+                index: ty,
+                full: t.cols() == feat,
+            },
+            None => Self {
+                data: &ZERO_ROW,
+                index: TensorType::Null,
+                full: false,
+            },
+        }
+    }
+
+    /// The row edge `src -> dst` with id `eid` reads, `width` elements wide
+    /// (`feat` if full, else 1).
+    #[inline(always)]
+    fn row(&self, src: usize, dst: usize, eid: usize, width: usize) -> &'a [f32] {
+        let r = match self.index {
+            TensorType::SrcV => src,
+            TensorType::DstV => dst,
+            TensorType::Edge => eid,
+            TensorType::Null => 0,
+        };
+        &self.data[r * width..][..width]
+    }
+}
+
+/// One instance of the edge loop: graph, operands A and B, output type,
+/// feature width, output buffer.
+type EdgeLoop = fn(&Graph, Operand<'_>, Operand<'_>, TensorType, usize, &mut [f32]);
+
+/// Picks the edge loop specialised for `(edge_op, gather_op)` and the
+/// operand widths. `E` and `G` index [`EdgeOp::ALL`] and [`GatherOp::ALL`].
+/// A mean folds exactly like a sum (its division is the post-pass), so the
+/// two share instances; no valid operator gathers with `CopyLhs`.
+fn specialise(edge_op: EdgeOp, gather_op: GatherOp, a_full: bool, b_full: bool) -> EdgeLoop {
+    fn widths<const E: usize, const G: usize>(a_full: bool, b_full: bool) -> EdgeLoop {
+        match (a_full, b_full) {
+            (true, true) => edge_loop::<E, G, true, true>,
+            (true, false) => edge_loop::<E, G, true, false>,
+            (false, true) => edge_loop::<E, G, false, true>,
+            (false, false) => edge_loop::<E, G, false, false>,
+        }
+    }
+    fn gather<const E: usize>(gather_op: GatherOp, a_full: bool, b_full: bool) -> EdgeLoop {
+        match gather_op {
+            GatherOp::CopyLhs => unreachable!("validate() rejects a CopyLhs gather"),
+            GatherOp::CopyRhs => widths::<E, 1>(a_full, b_full),
+            GatherOp::Sum | GatherOp::Mean => widths::<E, 2>(a_full, b_full),
+            GatherOp::Max => widths::<E, 3>(a_full, b_full),
+            GatherOp::Min => widths::<E, 4>(a_full, b_full),
+        }
+    }
+    match edge_op {
+        EdgeOp::CopyLhs => gather::<0>(gather_op, a_full, b_full),
+        EdgeOp::CopyRhs => gather::<1>(gather_op, a_full, b_full),
+        EdgeOp::Add => gather::<2>(gather_op, a_full, b_full),
+        EdgeOp::Sub => gather::<3>(gather_op, a_full, b_full),
+        EdgeOp::Mul => gather::<4>(gather_op, a_full, b_full),
+        EdgeOp::Div => gather::<5>(gather_op, a_full, b_full),
+    }
+}
+
+/// The §3 loop nest for one constant `(edge_op, gather_op)` pair and
+/// operand widths: destinations in order, each one's in-edges in CSR slot
+/// order, then `C = gather_op(C, edge_op(A, B))` per feature element. The
+/// ops are constants here, so their `apply` matches fold away.
+fn edge_loop<const E: usize, const G: usize, const A_FULL: bool, const B_FULL: bool>(
+    graph: &Graph,
+    a: Operand<'_>,
+    b: Operand<'_>,
+    c: TensorType,
+    feat: usize,
+    out: &mut [f32],
+) {
+    let edge_op = EdgeOp::ALL[E];
+    let gather_op = GatherOp::ALL[G];
+    let a_width = if A_FULL { feat } else { 1 };
+    let b_width = if B_FULL { feat } else { 1 };
+    let (in_ptr, in_src, in_eid) = (graph.in_ptr(), graph.in_src(), graph.in_eid());
+    for dst in 0..graph.num_vertices() {
+        let slots = in_ptr[dst]..in_ptr[dst + 1];
+        for (&src, &eid) in in_src[slots.clone()].iter().zip(&in_eid[slots]) {
+            let (src, eid) = (src as usize, eid as usize);
+            let a_row = a.row(src, dst, eid, a_width);
+            let b_row = b.row(src, dst, eid, b_width);
+            let c_row = match c {
+                TensorType::Edge => eid,
+                _ => dst,
+            };
+            let c_row = &mut out[c_row * feat..][..feat];
+            for (f, cv) in c_row.iter_mut().enumerate() {
+                let av = if A_FULL { a_row[f] } else { a_row[0] };
+                let bv = if B_FULL { b_row[f] } else { b_row[0] };
+                *cv = gather_op.apply(*cv, edge_op.apply(av, bv));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::abstraction::{EdgeOp, GatherOp};
 
     /// 0 -> 2, 1 -> 2, 2 -> 0 triangle-ish graph used across tests.
     fn graph() -> Graph {
@@ -407,6 +499,27 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, CoreError::FeatureMismatch { .. }));
+    }
+
+    /// An absent operand reads `+0.0`. No valid operator's edge op reads
+    /// an absent operand, so this drives the edge loop directly: under
+    /// `Add`, `-0.0 + 0.0` is `+0.0` where a `-0.0` row would keep the sign.
+    #[test]
+    fn absent_operand_reads_positive_zero() {
+        let g = Graph::from_edges(2, vec![0], vec![1]).unwrap();
+        let x = Tensor2::full(2, 3, -0.0);
+        let a = Operand::new(TensorType::SrcV, Some(&x), 3);
+        let b = Operand::new(TensorType::Null, None, 3);
+        let mut out = [1.0; 3];
+        specialise(EdgeOp::Add, GatherOp::CopyRhs, a.full, b.full)(
+            &g,
+            a,
+            b,
+            TensorType::Edge,
+            3,
+            &mut out,
+        );
+        assert_eq!(out.map(f32::to_bits), [0.0f32.to_bits(); 3]);
     }
 
     #[test]

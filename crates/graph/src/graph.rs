@@ -169,7 +169,7 @@ impl Graph {
     }
 
     /// A 64-bit fingerprint of the graph's structure: dimensions, in-edge
-    /// offsets, sources, and edge ids (FNV-1a over the raw arrays).
+    /// offsets, and one `(src << 32 | eid)` word per in-edge slot.
     ///
     /// Two graphs with the same fingerprint have, up to hash collision,
     /// identical adjacency *and* identical edge-id assignment — exactly the
@@ -178,28 +178,44 @@ impl Graph {
     /// endpoint, renumbered edge ids) changes the key. The out-edge view is
     /// derived from the same edge set and does not need to be hashed.
     ///
-    /// Cost is one pass over `V + E`; callers that look up repeatedly
-    /// should compute it once per graph version (see
+    /// The words are hashed one at a time, dealt round-robin to four
+    /// independent multiply-rotate lanes so the multiplies of neighbouring
+    /// words overlap; the lanes, which start from distinct seeds, are then
+    /// folded in order and finished with a 64-bit avalanche. Each step is
+    /// a bijection of its lane for a fixed word and of the word for a fixed
+    /// lane, so changing any single word always changes the value. The
+    /// value is an in-memory key only: it is not stable across versions
+    /// and is never persisted.
+    ///
+    /// Cost is one pass over `V + E` words; callers that look up
+    /// repeatedly should compute it once per graph version (see
     /// `ugrapher_core::api::GraphTensor`).
     pub fn structural_fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |x: u64| {
-            for byte in x.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        eat(self.num_vertices as u64);
-        eat(self.num_edges as u64);
-        for &p in &self.in_ptr {
-            eat(p as u64);
-        }
-        for (&s, &e) in self.in_src.iter().zip(&self.in_eid) {
-            eat(u64::from(s) << 32 | u64::from(e));
-        }
-        h
+        /// Lane seeds: hex digits of pi.
+        const SEEDS: [u64; 4] = [
+            0x243f_6a88_85a3_08d3,
+            0x1319_8a2e_0370_7344,
+            0xa409_3822_299f_31d0,
+            0x082e_fa98_ec4e_6c89,
+        ];
+        let mut lanes = SEEDS;
+        absorb(
+            &mut lanes,
+            [self.num_vertices as u64, self.num_edges as u64],
+        );
+        absorb(&mut lanes, self.in_ptr.iter().map(|&p| p as u64));
+        absorb(
+            &mut lanes,
+            self.in_src
+                .iter()
+                .zip(&self.in_eid)
+                .map(|(&s, &e)| u64::from(s) << 32 | u64::from(e)),
+        );
+        let h = lanes.into_iter().fold(SEEDS[0], mix);
+        // Murmur3's 64-bit finaliser.
+        let h = (h ^ h >> 33).wrapping_mul(0xff51_afd7_ed55_8ccd);
+        let h = (h ^ h >> 33).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ h >> 33
     }
 
     /// Checks every CSR/CSC invariant the executors rely on.
@@ -267,50 +283,68 @@ impl Graph {
             }
         }
 
-        // Edge-id bijection per view, plus cross-view agreement: recover
-        // (src, dst) per edge id from each view and compare.
-        let mut by_in: Vec<Option<(u32, u32)>> = vec![None; ne];
-        for d in 0..nv {
-            for slot in self.in_ptr[d]..self.in_ptr[d + 1] {
-                let e = self.in_eid[slot] as usize;
-                if e >= ne {
-                    return fail(format!("in_eid contains id {e} >= {ne}"));
-                }
-                if by_in[e].is_some() {
-                    return fail(format!("edge id {e} appears twice in the in-view"));
-                }
-                by_in[e] = Some((self.in_src[slot], d as u32));
+        // Edge-id bijection per view plus cross-view agreement, through one
+        // word per edge id: the in-view slot holding it. Each view has `ne`
+        // slots, so ids that are in range and never repeat cover `0..ne`.
+        // The out-view checks each of its edges against that slot (source,
+        // and the destination whose slot range holds it) and marks the id
+        // consumed, which also catches its own repeats.
+        const UNSEEN: u64 = u64::MAX;
+        let mut in_slot = vec![UNSEEN; ne];
+        for (slot, &e) in self.in_eid.iter().enumerate() {
+            let Some(seen) = in_slot.get_mut(e as usize) else {
+                return fail(format!("in_eid contains id {e} >= {ne}"));
+            };
+            if *seen != UNSEEN {
+                return fail(format!("edge id {e} appears twice in the in-view"));
             }
+            *seen = slot as u64;
         }
-        let mut by_out: Vec<Option<(u32, u32)>> = vec![None; ne];
         for s in 0..nv {
             for slot in self.out_ptr[s]..self.out_ptr[s + 1] {
-                let e = self.out_eid[slot] as usize;
-                if e >= ne {
+                let e = self.out_eid[slot];
+                let Some(seen) = in_slot.get_mut(e as usize) else {
                     return fail(format!("out_eid contains id {e} >= {ne}"));
-                }
-                if by_out[e].is_some() {
+                };
+                let i = std::mem::replace(seen, UNSEEN);
+                if i == UNSEEN {
                     return fail(format!("edge id {e} appears twice in the out-view"));
                 }
-                by_out[e] = Some((s as u32, self.out_dst[slot]));
-            }
-        }
-        for e in 0..ne {
-            match (by_in[e], by_out[e]) {
-                (Some(a), Some(b)) if a == b => {}
-                (Some(a), Some(b)) => {
+                let i = i as usize;
+                let d = self.out_dst[slot] as usize;
+                if self.in_src[i] as usize != s
+                    || !(self.in_ptr[d]..self.in_ptr[d + 1]).contains(&i)
+                {
+                    // The in-view destination of slot `i`: the last vertex
+                    // whose offset is at most `i`.
+                    let in_dst = self.in_ptr.partition_point(|&p| p <= i) - 1;
                     return fail(format!(
                         "edge id {e} is {:?} in the in-view but {:?} in the out-view",
-                        a, b
-                    ))
+                        (self.in_src[i], in_dst),
+                        (s, d)
+                    ));
                 }
-                // Lengths and per-view uniqueness already established both
-                // views cover all ne ids; missing cannot happen here, but
-                // keep the arm total rather than panic.
-                _ => return fail(format!("edge id {e} missing from a view")),
             }
         }
         Ok(())
+    }
+}
+
+/// One fingerprint step: a multiply-rotate mix (FxHash's) of `word` into
+/// `lane`.
+#[inline(always)]
+fn mix(lane: u64, word: u64) -> u64 {
+    (lane.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
+/// Mixes `words` into the four lanes round-robin, starting at lane 0.
+fn absorb(lanes: &mut [u64; 4], words: impl IntoIterator<Item = u64>) {
+    let mut words = words.into_iter();
+    loop {
+        for lane in lanes.iter_mut() {
+            let Some(w) = words.next() else { return };
+            *lane = mix(*lane, w);
+        }
     }
 }
 
@@ -456,6 +490,84 @@ mod tests {
         let mut g = diamond();
         g.in_src.swap(1, 2);
         assert_invalid(&g, "in/out views describing different edges");
+
+        // Same source, different destination: swapping the ids of 0 -> 1
+        // and 0 -> 2 in the in-view keeps every source and both bijections.
+        let mut g = diamond();
+        g.in_eid.swap(0, 1);
+        assert_invalid(&g, "in/out views disagreeing on a destination");
+    }
+
+    /// Every single-word edit of the hashed arrays changes the value,
+    /// including swaps between slots that share a hash lane (slots `k`
+    /// and `k + 4`) and between slots in different lanes.
+    #[test]
+    fn structural_fingerprint_sees_every_edit() {
+        // 6 vertices, 9 edges with distinct (src, eid) words.
+        let base = Graph::from_edges(
+            6,
+            vec![0, 1, 2, 3, 4, 5, 0, 2, 4],
+            vec![1, 2, 3, 4, 5, 0, 3, 5, 1],
+        )
+        .unwrap();
+        let fp = base.structural_fingerprint();
+        assert_eq!(fp, Graph::from_coo(&base.to_coo()).structural_fingerprint());
+
+        type Edit = (&'static str, fn(&mut Graph));
+        let edits: [Edit; 6] = [
+            ("one src changed", |g| g.in_src[3] = (g.in_src[3] + 1) % 6),
+            ("two eids swapped", |g| g.in_eid.swap(2, 7)),
+            ("in_ptr boundary moved", |g| g.in_ptr[3] += 1),
+            ("slots swapped within a lane", |g| {
+                g.in_src.swap(1, 5);
+                g.in_eid.swap(1, 5);
+            }),
+            ("slots swapped across lanes", |g| {
+                g.in_src.swap(1, 2);
+                g.in_eid.swap(1, 2);
+            }),
+            ("num_edges changed", |g| g.num_edges += 1),
+        ];
+        for (what, edit) in edits {
+            let mut g = base.clone();
+            edit(&mut g);
+            assert_ne!(g, base, "{what}: the edit must change the graph");
+            assert_ne!(g.structural_fingerprint(), fp, "{what}");
+        }
+
+        let coo = base.to_coo();
+        let appended = Graph::from_edges(7, coo.src().to_vec(), coo.dst().to_vec()).unwrap();
+        assert_ne!(
+            appended.structural_fingerprint(),
+            fp,
+            "isolated vertex appended"
+        );
+    }
+
+    /// No two of 10k distinct seeded small graphs share a fingerprint.
+    #[test]
+    fn structural_fingerprint_has_no_collisions_on_small_graphs() {
+        use std::collections::HashMap;
+        use ugrapher_util::rng::StdRng;
+
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let mut seen: HashMap<u64, Coo> = HashMap::new();
+        let mut distinct = 0;
+        while distinct < 10_000 {
+            let nv = rng.random_range(1..10usize);
+            let ne = rng.random_range(0..12usize);
+            let mut end = || rng.random_range(0..nv as u32);
+            let (src, dst): (Vec<u32>, Vec<u32>) = (0..ne).map(|_| (end(), end())).unzip();
+            let coo = Coo::new(nv, src, dst).unwrap();
+            let fp = Graph::from_coo(&coo).structural_fingerprint();
+            match seen.get(&fp) {
+                Some(prev) => assert_eq!(prev, &coo, "collision at {fp:#x}"),
+                None => {
+                    seen.insert(fp, coo);
+                    distinct += 1;
+                }
+            }
+        }
     }
 
     #[test]

@@ -113,6 +113,17 @@ impl Tensor2 {
     /// Returns [`TensorError::NonFinite`] locating the first offending
     /// element.
     pub fn validate_finite(&self) -> Result<(), TensorError> {
+        // The common all-finite case scans fixed-size chunks without an
+        // early exit inside a chunk, so the check vectorises; only a
+        // failing tensor pays for locating its first bad element.
+        const CHUNK: usize = 256;
+        let all_finite = self
+            .data
+            .chunks(CHUNK)
+            .all(|c| c.iter().fold(true, |ok, v| ok & v.is_finite()));
+        if all_finite {
+            return Ok(());
+        }
         match self.data.iter().position(|v| !v.is_finite()) {
             None => Ok(()),
             Some(i) => Err(TensorError::NonFinite {

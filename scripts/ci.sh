@@ -81,6 +81,29 @@ print(f'sim JSON ok: {len(r["smoke"]["cells"])} smoke cells, '
       f'grid search {r["smoke"]["grid_search"]["ms"]:.1f} ms')
 EOF
 
+echo "== functional executor: exec_bench --smoke + BENCH_exec.json shape =="
+cargo run --release -p ugrapher-bench --bin exec_bench -- --smoke >/dev/null
+# Shape only: wall-clock figures vary by host, so no threshold is applied.
+python3 - results/BENCH_exec.json <<'EOF'
+import json, sys
+r = json.load(open(sys.argv[1]))
+ops = {"weighted_sum", "message_add", "mean", "max"}
+for slot in ("before", "after", "smoke"):
+    run = r[slot]
+    assert {c["op"] for c in run["execute"]} == ops, f"{slot}: ops"
+    for c in run["execute"]:
+        assert {"graph", "vertices", "edges"} <= c.keys(), c
+        assert c["execute_us"] > 0, c
+    assert run["admit"], f"{slot}: no admission cells"
+    for c in run["admit"]:
+        assert c["admit_us"] > 0, c
+    assert run["feat"] == 32 and run["mean_execute_us"] > 0 and run["mean_admit_us"] > 0
+assert r["smoke"]["smoke"] is True
+print(f'exec JSON ok: {len(r["smoke"]["execute"])} smoke cells, '
+      f'{r["smoke"]["mean_execute_us"]:.1f} us/execute, '
+      f'{r["smoke"]["mean_admit_us"]:.1f} us/admission')
+EOF
+
 echo "== simulator + codegen: registry-wide golden digests =="
 cargo test --release -p ugrapher-core --test sim_golden -- --ignored
 

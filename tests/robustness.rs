@@ -10,12 +10,14 @@ use std::sync::mpsc::RecvTimeoutError;
 
 use ugrapher::core::abstraction::{registry, OpInfo, TensorType};
 use ugrapher::core::api::{uGrapher, GraphTensor, OpArgs, Runtime};
+use ugrapher::core::cache::PlanCache;
 use ugrapher::core::exec::{execute, Fidelity, OpOperands};
 use ugrapher::core::schedule::{ParallelInfo, Strategy};
 use ugrapher::core::tune::TuneBudget;
 use ugrapher::core::CoreError;
 use ugrapher::graph::generate::uniform_random;
 use ugrapher::graph::{Coo, Graph};
+use ugrapher::obs::Recorder;
 use ugrapher::sim::{Access, DeviceConfig, Fault, FaultInjector, LaunchConfig};
 use ugrapher::tensor::Tensor2;
 
@@ -192,6 +194,48 @@ fn zero_feature_dim_is_a_typed_error_under_every_strategy() {
             )
             .unwrap_err();
         assert!(err.is_input_error(), "{strategy:?}: {err:?}");
+    }
+}
+
+/// A zero-width operand beside a one-column partner is not a broadcast:
+/// it is rejected as a typed feature mismatch by the executor, and by the
+/// runtime before any schedule is tuned, measured or cached.
+#[test]
+fn zero_width_operand_beside_one_column_is_rejected_before_tuning() {
+    let g = uniform_random(20, 60, 24);
+    let gt = GraphTensor::new(&g);
+    let cache = PlanCache::shared(PlanCache::DEFAULT_CAPACITY);
+    let mut builder = Recorder::builder();
+    let ring = builder.ring(4096);
+    let rt = Runtime::new(DeviceConfig::v100())
+        .with_recorder(builder.build())
+        .with_plan_cache(cache.clone());
+    let op = OpInfo::message_creation_add();
+    for (a_cols, b_cols) in [(0, 1), (1, 0)] {
+        let a = Tensor2::zeros(20, a_cols);
+        let b = Tensor2::zeros(20, b_cols);
+        let zero_width = |err: &CoreError| {
+            matches!(
+                err,
+                CoreError::FeatureMismatch {
+                    expected: 1,
+                    found: 0
+                }
+            )
+        };
+        let err = execute(&g, &op, &OpOperands::pair(&a, &b)).unwrap_err();
+        assert!(zero_width(&err), "({a_cols}, {b_cols}) execute: {err:?}");
+        let err = rt.run(&gt, &OpArgs::binary(op, &a, &b), None).unwrap_err();
+        assert!(zero_width(&err), "({a_cols}, {b_cols}) run: {err:?}");
+        let spans = ring.snapshot();
+        assert!(
+            spans
+                .iter()
+                .all(|s| !s.name.starts_with("tune.") && s.name != "sim.kernel"),
+            "({a_cols}, {b_cols}): {:?}",
+            spans.iter().map(|s| s.name).collect::<Vec<_>>()
+        );
+        assert_eq!(cache.stats().entries, 0, "({a_cols}, {b_cols})");
     }
 }
 
