@@ -114,8 +114,12 @@ impl DeviceConfig {
 
     /// Checks the configuration is inside the legal envelope: every
     /// structural parameter positive, cache associativities within what the
-    /// cache model holds ([`Cache::MAX_ASSOC`]), every rate finite and
-    /// positive.
+    /// cache model holds ([`Cache::MAX_ASSOC`]), `line_bytes` a whole number
+    /// of 4-byte words (the coalescer's lanes touch word-aligned addresses),
+    /// every rate finite and positive. `atomic_serial_cycles` and
+    /// `launch_overhead_us` only add cost, so zero is a valid model for
+    /// them (e.g. an ablation without atomic serialization); they must be
+    /// finite and non-negative.
     /// Degenerate configs (zero SMs, zero clock) would otherwise surface as
     /// divisions by zero deep inside the timing model.
     ///
@@ -147,7 +151,15 @@ impl DeviceConfig {
                 });
             }
         }
-        let positive_f64: [(&str, f64); 9] = [
+        if !self.line_bytes.is_multiple_of(4) {
+            return Err(SimError::InvalidDevice {
+                reason: format!(
+                    "line_bytes must be a multiple of 4, got {}",
+                    self.line_bytes
+                ),
+            });
+        }
+        let positive_f64: [(&str, f64); 8] = [
             ("clock_ghz", self.clock_ghz),
             ("issue_width", self.issue_width),
             ("dram_bw_gbs", self.dram_bw_gbs),
@@ -155,7 +167,6 @@ impl DeviceConfig {
             ("l1_latency", self.l1_latency),
             ("l2_latency", self.l2_latency),
             ("dram_latency", self.dram_latency),
-            ("atomic_serial_cycles", self.atomic_serial_cycles),
             ("mlp_per_warp", self.mlp_per_warp),
         ];
         for (field, v) in positive_f64 {
@@ -165,13 +176,15 @@ impl DeviceConfig {
                 });
             }
         }
-        if !self.launch_overhead_us.is_finite() || self.launch_overhead_us < 0.0 {
-            return Err(SimError::InvalidDevice {
-                reason: format!(
-                    "launch_overhead_us must be finite and non-negative, got {}",
-                    self.launch_overhead_us
-                ),
-            });
+        for (field, v) in [
+            ("atomic_serial_cycles", self.atomic_serial_cycles),
+            ("launch_overhead_us", self.launch_overhead_us),
+        ] {
+            if !v.is_finite() || v < 0.0 {
+                return Err(SimError::InvalidDevice {
+                    reason: format!("{field} must be finite and non-negative, got {v}"),
+                });
+            }
         }
         Ok(())
     }
@@ -240,6 +253,22 @@ mod tests {
         d.l2_assoc = Cache::MAX_ASSOC + 1;
         assert!(matches!(d.validate(), Err(SimError::InvalidDevice { .. })));
         d.l2_assoc = Cache::MAX_ASSOC;
+        d.validate().unwrap();
+
+        // Zero atomic serialization is a valid model; negative or NaN is not.
+        let mut d = DeviceConfig::v100();
+        d.atomic_serial_cycles = 0.0;
+        d.validate().unwrap();
+        d.atomic_serial_cycles = -1.0;
+        assert!(d.validate().is_err());
+        d.atomic_serial_cycles = f64::NAN;
+        assert!(d.validate().is_err());
+
+        // Lines hold whole 4-byte words.
+        let mut d = DeviceConfig::v100();
+        d.line_bytes = 30;
+        assert!(matches!(d.validate(), Err(SimError::InvalidDevice { .. })));
+        d.line_bytes = 36;
         d.validate().unwrap();
     }
 
