@@ -19,7 +19,7 @@ fn main() {
     let datasets = sweep.distinct(|c| &c.dataset);
     let systems = sweep.distinct(|c| &c.system);
 
-    let mut win_counts: std::collections::HashMap<String, usize> = Default::default();
+    let mut win_counts: std::collections::BTreeMap<String, usize> = Default::default();
     let mut near_optimal_ugrapher = 0usize;
     let mut total_cells = 0usize;
 

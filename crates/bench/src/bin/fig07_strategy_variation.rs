@@ -20,7 +20,7 @@ fn main() {
 
     for feat in [8usize, 16] {
         let mut rows = Vec::new();
-        let mut winners = std::collections::HashMap::<String, usize>::new();
+        let mut winners = std::collections::BTreeMap::<String, usize>::new();
         for abbrev in eval_datasets() {
             let graph = by_abbrev(abbrev).unwrap().build(scale());
             let res = grid_search_space(&graph, &op, feat, &options, &basics)

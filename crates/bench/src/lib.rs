@@ -154,7 +154,7 @@ pub fn save_json<T: ToJson>(name: &str, value: &T) {
     let json = ugrapher_util::json::to_string(value);
     f.write_all(json.as_bytes())
         .expect("can write results file");
-    println!("[saved {}]", path.display());
+    println!("[saved results/{name}.json]");
 }
 
 /// Median of `xs` (the upper one for an even count); `NaN` when empty.
@@ -196,7 +196,7 @@ pub fn save_slot(name: &str, slot: &str, run: Value, ratios: &[(&str, &[&str])])
     }
     std::fs::write(&path, Value::Obj(doc).to_string_compact())
         .unwrap_or_else(|e| panic!("can write {}: {e}", path.display()));
-    println!("[saved {}]", path.display());
+    println!("[saved results/{name}.json]");
 }
 
 /// Loads a previously saved result, if present and parseable.
