@@ -146,20 +146,56 @@ pub fn run_sweep(devices: &[DeviceConfig], models: &[ModelKind], datasets: &[&st
     SweepResult { cells }
 }
 
-/// Loads the cached sweep if present, otherwise runs and caches it.
+/// The devices, models and datasets of the full sweep.
+fn sweep_axes() -> ([DeviceConfig; 2], [ModelKind; 6], Vec<&'static str>) {
+    (
+        [DeviceConfig::v100(), DeviceConfig::a100()],
+        ModelKind::ALL,
+        crate::eval_datasets(),
+    )
+}
+
+/// Whether `cached` still matches the code: the smallest evaluation
+/// dataset's cells are re-measured and must equal the cached ones bitwise.
+/// A cache written by older code, or at another `UGRAPHER_SCALE`, fails.
+pub fn sweep_is_current(cached: &SweepResult) -> bool {
+    let (devices, models, datasets) = sweep_axes();
+    let Some(smallest) = datasets
+        .iter()
+        .copied()
+        .min_by_key(|a| by_abbrev(a).map_or(usize::MAX, |d| d.num_vertices))
+    else {
+        return true;
+    };
+    let key = |c: &SweepCell| {
+        (
+            c.device.clone(),
+            c.model.clone(),
+            c.system.clone(),
+            c.time_ms.map(f64::to_bits),
+        )
+    };
+    let fresh = run_sweep(&devices, &models, &[smallest]);
+    let stale = cached.cells.iter().filter(|c| c.dataset == smallest);
+    fresh.cells.iter().map(key).eq(stale.map(key))
+}
+
+/// Loads the cached sweep if present and current (see
+/// [`sweep_is_current`]), otherwise runs and caches it.
 pub fn sweep_cached() -> SweepResult {
     if let Some(s) = crate::load_json::<SweepResult>("sweep") {
         if !s.cells.is_empty() {
-            eprintln!(
-                "[sweep] using cached results/sweep.json ({} cells)",
-                s.cells.len()
-            );
-            return s;
+            if sweep_is_current(&s) {
+                eprintln!(
+                    "[sweep] using cached results/sweep.json ({} cells)",
+                    s.cells.len()
+                );
+                return s;
+            }
+            eprintln!("[sweep] results/sweep.json is stale; re-running the sweep");
         }
     }
-    let devices = [DeviceConfig::v100(), DeviceConfig::a100()];
-    let models = ModelKind::ALL;
-    let datasets = crate::eval_datasets();
+    let (devices, models, datasets) = sweep_axes();
     let result = run_sweep(&devices, &models, &datasets);
     crate::save_json("sweep", &result);
     result
