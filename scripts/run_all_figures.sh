@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Regenerates every table and figure of the paper's evaluation in sequence,
-# collecting output under results/. Respects UGRAPHER_SCALE / UGRAPHER_QUICK.
+# collecting each binary's stdout under results/ (cargo's and the binaries'
+# progress lines go to stderr). Respects UGRAPHER_SCALE / UGRAPHER_QUICK.
 set -u
 cd "$(dirname "$0")/.."
 mkdir -p results
@@ -31,7 +32,7 @@ BINS=(
 
 for bin in "${BINS[@]}"; do
   echo "=== running $bin ==="
-  if cargo run --release -p ugrapher-bench --bin "$bin" >"results/$bin.txt" 2>&1; then
+  if cargo run --release --quiet -p ugrapher-bench --bin "$bin" >"results/$bin.txt"; then
     echo "    ok -> results/$bin.txt"
   else
     echo "    FAILED -> results/$bin.txt"
