@@ -104,6 +104,20 @@ print(f'exec JSON ok: {len(r["smoke"]["execute"])} smoke cells, '
       f'{r["smoke"]["mean_admit_us"]:.1f} us/admission')
 EOF
 
+echo "== results: deterministic figure bins reproduce results/*.txt =="
+# Bins that write no file and print no wall-clock time, at the default
+# scale. A change that moves any simulated number must regenerate these
+# (scripts/run_all_figures.sh) in the same commit.
+for bin in tbl02_operator_census tbl03_datasets tbl04_op_registry \
+    tbl05_strategy_coverage tbl06_tradeoffs fig03_dgl_limits \
+    fig07_strategy_variation fig16_metrics fig17_basic_vs_optimal \
+    fig18_group_tile_sweep fig19_renumbering calibration; do
+  env -u UGRAPHER_SCALE -u UGRAPHER_QUICK \
+    cargo run --release --quiet -p ugrapher-bench --bin "$bin" | diff -u "results/$bin.txt" - \
+    || { echo "results/$bin.txt differs from $bin's output"; exit 1; }
+done
+echo "results ok"
+
 echo "== simulator + codegen: registry-wide golden digests =="
 cargo test --release -p ugrapher-core --test sim_golden -- --ignored
 
