@@ -9,12 +9,14 @@
 //! * every work item becomes a *lane*: a feature tile plus a contiguous
 //!   range of positions (CSR slots of a destination group, or edge
 //!   positions of an edge group);
-//! * **thread** strategies step 32 lanes in lockstep, so index arrays are
-//!   read one element per lane ([`Access::Scatter`]) and feature rows
-//!   gather from up to 32 distinct rows ([`Access::PerLaneRows`]);
-//!   **warp** strategies give each item a whole warp, so index words are
-//!   broadcast ([`Access::Broadcast`]) and lanes sweep the feature tile in
-//!   coalesced chunks ([`Access::Coalesced`]);
+//! * every access is one [`Access`], a run of consecutive words per active
+//!   lane, filled into one reused buffer. The IR's feature-loop stride says
+//!   how items map onto a warp: a **thread** item (stride 1) is one of 32
+//!   lanes stepping in lockstep, each reading its own index words and
+//!   gathering its own rows, its per-word feature loop collapsed into one
+//!   access; a **warp** item (stride 32) owns the warp, so an index word is
+//!   one shared word and the lanes sweep the feature tile one 32-word chunk
+//!   per access;
 //! * each input is loaded at the loop level its IR
 //!   [`Load`](crate::ir::Load)'s [`Provenance`] names (per vertex or per
 //!   position), and the output is written where its
@@ -30,6 +32,7 @@ use ugrapher_obs::{metrics, MetricsRegistry, Recorder, SpanKind};
 use ugrapher_sim::{Access, AddressSpace, DeviceConfig, KernelSim, LaunchConfig, SimReport};
 
 use std::borrow::Cow;
+use std::iter;
 use std::ops::Range;
 
 use crate::abstraction::TensorType;
@@ -199,9 +202,9 @@ impl<'a> EdgeView<'a> {
     /// makes large V/E grouping effective on skewed graphs (paper Table 9's
     /// `TE_G32/G64` optima). Edge-output operators walk raw COO order
     /// instead, where the output write is naturally coalesced.
-    fn new(graph: &'a Graph, plan: &KernelPlan, lay: &Layout) -> Self {
-        let edge = plan.parallel.strategy.is_edge_parallel();
-        let csr = !edge || plan.op.c != TensorType::Edge;
+    fn new(graph: &'a Graph, ir: &KernelIr, lay: &Layout) -> Self {
+        let edge = ir.edge_parallel();
+        let csr = !edge || ir.store().tensor != TensorType::Edge;
         let ne = graph.num_edges();
         let mut src = if csr {
             Cow::Borrowed(graph.in_src())
@@ -329,6 +332,7 @@ pub fn measure(graph: &Graph, plan: &KernelPlan, options: &MeasureOptions) -> Si
         .recorder
         .span_traced("sim.kernel", SpanKind::Kernel, options.trace_id);
     let device = &options.device;
+    let ir = lower(plan).expect("validated operators have a non-Null output");
     let wpb = plan.threads_per_block / 32;
     // Approximate edge visits per warp, the unit of tracing cost.
     let mean_deg = if graph.num_vertices() > 0 {
@@ -336,17 +340,13 @@ pub fn measure(graph: &Graph, plan: &KernelPlan, options: &MeasureOptions) -> Si
     } else {
         0.0
     };
-    let lanes = if plan.parallel.strategy.is_warp_per_item() {
-        1.0
-    } else {
-        32.0
-    };
-    let per_unit = if plan.parallel.strategy.is_edge_parallel() {
+    let items_per_warp = (32 / ir.lane_stride()) as f64;
+    let per_unit = if ir.edge_parallel() {
         1.0
     } else {
         mean_deg.max(0.25)
     };
-    let visits_per_warp = lanes * plan.parallel.grouping as f64 * per_unit;
+    let visits_per_warp = items_per_warp * plan.parallel.grouping as f64 * per_unit;
     let (stride, warp_stride) = resolve_sampling(
         options.fidelity,
         plan.grid_blocks,
@@ -361,8 +361,6 @@ pub fn measure(graph: &Graph, plan: &KernelPlan, options: &MeasureOptions) -> Si
         .with_regs(plan.regs_per_thread)
         .with_replication(replication);
     let mut sim = KernelSim::new(device, launch);
-
-    let ir = lower(plan).expect("validated operators have a non-Null output");
     Tracer::new(graph, plan, &ir, stride, warp_stride).run(&mut sim);
     let report = sim.finish();
     if span.is_enabled() {
@@ -459,25 +457,21 @@ struct At {
     write: bool,
 }
 
-/// How work items map onto a warp's 32 hardware lanes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mapping {
-    /// Thread strategies: 32 items step through their positions in
-    /// lockstep, each on its own rows, so index words go out as
-    /// [`Access::Scatter`] and feature rows as [`Access::PerLaneRows`].
-    Thread,
-    /// Warp strategies: one item per warp, lanes sweeping the feature tile,
-    /// so index words go out as [`Access::Broadcast`] and feature rows as
-    /// 32-word [`Access::Coalesced`] chunks.
-    Warp,
-}
-
 /// What a warp instruction does with the words it addresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
     Load,
     Store,
     Atomic,
+}
+
+/// Buffers one warp's steps reuse, so no access allocates.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The active lanes of the current step.
+    at: Vec<At>,
+    /// The lane base addresses of the access being issued.
+    bases: Vec<u64>,
 }
 
 /// The single schedule walker: one block/warp loop turns work items into
@@ -492,7 +486,13 @@ struct Tracer<'a> {
     /// Intra-block warp sampling: trace every `warp_stride`-th warp and
     /// scale the block's recorded costs back up.
     warp_stride: usize,
-    mapping: Mapping,
+    /// Feature words one item covers per instruction (the IR feature
+    /// loop's stride): 1 for a thread item, 32 for a warp item, so a warp
+    /// holds `32 / width` items.
+    width: usize,
+    /// Items are edge groups (the IR's `EdgeGroup` loop), not destination
+    /// groups.
+    edge: bool,
     /// The IR's operand loads, in statement order (A before B).
     inputs: Vec<Operand>,
     output: Operand,
@@ -505,8 +505,8 @@ struct Tracer<'a> {
     /// order (source ids, destination ids, edge ids).
     index_bases: Vec<u64>,
     /// Vertices per segment: a thread lane walks its whole destination
-    /// group in one segment, a warp one vertex at a time; `0` under edge
-    /// strategies.
+    /// group in one segment, a warp one vertex at a time; `0` for edge
+    /// items.
     span: usize,
     /// Whether per-vertex input loads precede the segment's positions
     /// (warp) or follow them, interleaved with the stores (thread).
@@ -522,8 +522,7 @@ impl<'a> Tracer<'a> {
         warp_stride: usize,
     ) -> Self {
         let lay = Layout::build(graph, plan);
-        let view = EdgeView::new(graph, plan, &lay);
-        let strategy = plan.parallel.strategy;
+        let view = EdgeView::new(graph, ir, &lay);
         let inputs: Vec<Operand> = ir
             .loads()
             .into_iter()
@@ -543,10 +542,11 @@ impl<'a> Tracer<'a> {
             scalar: false,
         };
         let uses = |prov| output.prov == prov || inputs.iter().any(|x| x.prov == prov);
-        let edge = strategy.is_edge_parallel();
-        let warp = strategy.is_warp_per_item();
-        // Index words follow provenance, except that edge strategies always
-        // read the source id and warp-edge always reads the destination id.
+        let edge = ir.edge_parallel();
+        let width = ir.lane_stride();
+        let warp = width > 1;
+        // Index words follow provenance, except that edge items always read
+        // the source id and warp edge items always read the destination id.
         let mut index_bases = Vec::with_capacity(3);
         if edge || uses(Provenance::SrcIndirect) {
             index_bases.push(view.src_base);
@@ -564,7 +564,8 @@ impl<'a> Tracer<'a> {
             view,
             stride,
             warp_stride,
-            mapping: if warp { Mapping::Warp } else { Mapping::Thread },
+            width,
+            edge,
             inputs,
             output,
             atomic: store.update.is_atomic(),
@@ -584,12 +585,9 @@ impl<'a> Tracer<'a> {
         let plan = self.plan;
         let wpb = plan.threads_per_block / 32;
         let scale = wpb as f64 / wpb.div_ceil(self.warp_stride).max(1) as f64;
-        let items_per_warp = match self.mapping {
-            Mapping::Thread => 32,
-            Mapping::Warp => 1,
-        };
+        let items_per_warp = 32 / self.width;
         let mut lanes = Vec::with_capacity(items_per_warp);
-        let mut at = Vec::with_capacity(items_per_warp);
+        let mut scratch = Scratch::default();
         for block in (0..plan.grid_blocks).step_by(self.stride) {
             sim.begin_block_scaled(block as u32, scale);
             for w in (0..wpb).step_by(self.warp_stride) {
@@ -602,13 +600,11 @@ impl<'a> Tracer<'a> {
                 lanes.clear();
                 for item in first..(first + items_per_warp).min(plan.num_items) {
                     let lane = self.lane(item);
-                    if self.mapping == Mapping::Warp
-                        || !(lane.verts.is_empty() && lane.pos.is_empty())
-                    {
+                    if items_per_warp == 1 || !(lane.verts.is_empty() && lane.pos.is_empty()) {
                         lanes.push(lane);
                     }
                 }
-                self.warp(sim, &lanes, &mut at);
+                self.warp(sim, &lanes, &mut scratch);
             }
             sim.end_block();
         }
@@ -621,7 +617,7 @@ impl<'a> Tracer<'a> {
         let (tile, group) = (item / plan.num_groups, item % plan.num_groups);
         let grp = plan.parallel.grouping;
         let owned = |units: usize| (group * grp).min(units)..((group + 1) * grp).min(units);
-        if plan.parallel.strategy.is_edge_parallel() {
+        if self.edge {
             let pos = owned(self.graph.num_edges());
             Lane {
                 tile,
@@ -639,9 +635,9 @@ impl<'a> Tracer<'a> {
         }
     }
 
-    /// Traces one warp's lanes: one segment for thread lanes and edge
-    /// items, one per vertex for a warp-vertex item.
-    fn warp(&self, sim: &mut KernelSim, lanes: &[Lane], at: &mut Vec<At>) {
+    /// Traces one warp's lanes: one segment, except that a warp item
+    /// walks its destination group one vertex per segment.
+    fn warp(&self, sim: &mut KernelSim, lanes: &[Lane], s: &mut Scratch) {
         let Some(first) = lanes.first() else {
             return;
         };
@@ -654,7 +650,7 @@ impl<'a> Tracer<'a> {
             overhead += costs::CYCLES_TILE_OVERHEAD;
         }
         sim.compute(overhead);
-        if self.mapping == Mapping::Warp && self.span > 0 {
+        if self.width > 1 && self.span > 0 {
             let in_ptr = self.graph.in_ptr();
             for v in first.verts.clone() {
                 let lane = Lane {
@@ -662,48 +658,42 @@ impl<'a> Tracer<'a> {
                     verts: v..v + 1,
                     pos: in_ptr[v]..in_ptr[v + 1],
                 };
-                self.segment(sim, &[lane], tile_len, at);
+                self.segment(sim, &[lane], tile_len, s);
             }
         } else {
-            self.segment(sim, lanes, tile_len, at);
+            self.segment(sim, lanes, tile_len, s);
         }
     }
 
     /// Walks one segment with all its lanes in lockstep: the CSR offsets
     /// of its vertices, then one step per position, with the per-vertex
     /// (`DstPartition`) loads and stores around the steps.
-    fn segment(&self, sim: &mut KernelSim, lanes: &[Lane], tile_len: usize, at: &mut Vec<At>) {
+    fn segment(&self, sim: &mut KernelSim, lanes: &[Lane], tile_len: usize, s: &mut Scratch) {
         if self.span > 0 {
-            // The segment's vertex offsets plus the end offset, 8 bytes each.
-            let bytes = (self.span as u32 + 1) * 8;
-            let ptr = |l: &Lane| self.lay.in_ptr + l.verts.start as u64 * 8;
-            sim.load(match self.mapping {
-                Mapping::Thread => Access::PerLaneRows {
-                    bases: lanes.iter().map(ptr).collect(),
-                    bytes,
-                },
-                Mapping::Warp => Access::Coalesced {
-                    base: ptr(&lanes[0]),
-                    lanes: bytes / 4,
-                },
-            });
+            // The segment's vertex offsets plus the end offset, 8 bytes
+            // each, in one instruction.
+            let ptrs = lanes
+                .iter()
+                .map(|l| self.lay.in_ptr + l.verts.start as u64 * 8);
+            let words = (self.span + 1) * 2;
+            self.issue(sim, Kind::Load, &mut s.bases, ptrs, words, iter::empty());
             sim.compute(costs::CYCLES_PER_MEM_ISSUE);
         }
         if self.vertex_loads_first {
-            self.per_vertex(sim, lanes, tile_len, at, true, false);
+            self.per_vertex(sim, lanes, tile_len, s, true, false);
         }
-        let arith = self.issues(tile_len) as f64 * self.arith;
+        let arith = tile_len.div_ceil(self.width) as f64 * self.arith;
         let dst = &self.view.dst;
         let steps = lanes.iter().map(|l| l.pos.len()).max().unwrap_or(0);
-        for s in 0..steps {
-            at.clear();
+        for step in 0..steps {
+            s.at.clear();
             for l in lanes {
-                let p = l.pos.start + s;
+                let p = l.pos.start + step;
                 if p < l.pos.end {
                     let write = self.output.prov != Provenance::DstIndirect
                         || p + 1 >= l.pos.end
                         || dst[p + 1] != dst[p];
-                    at.push(At {
+                    s.at.push(At {
                         tile: l.tile,
                         at: p,
                         write,
@@ -712,19 +702,21 @@ impl<'a> Tracer<'a> {
             }
             let mut cycles = costs::CYCLES_LOOP + arith * costs::CYCLES_PER_ARITH;
             for &base in &self.index_bases {
-                cycles += self.index(sim, at, |a| base + a.at as u64 * 4);
+                // One index word per lane.
+                let ids = s.at.iter().map(|a| base + a.at as u64 * 4);
+                cycles += self.issue(sim, Kind::Load, &mut s.bases, ids, 1, iter::empty());
             }
             for x in &self.inputs {
                 if x.prov != Provenance::DstPartition {
-                    cycles += self.load(sim, x, at, tile_len);
+                    cycles += self.load(sim, x, s, tile_len);
                 }
             }
             if self.output.prov != Provenance::DstPartition {
-                cycles += self.store(sim, at, tile_len);
+                cycles += self.store(sim, s, tile_len);
             }
             sim.compute(cycles);
         }
-        self.per_vertex(sim, lanes, tile_len, at, !self.vertex_loads_first, true);
+        self.per_vertex(sim, lanes, tile_len, s, !self.vertex_loads_first, true);
     }
 
     /// Touches the `DstPartition` inputs (if `loads`) and output (if
@@ -734,34 +726,34 @@ impl<'a> Tracer<'a> {
         sim: &mut KernelSim,
         lanes: &[Lane],
         tile_len: usize,
-        at: &mut Vec<At>,
+        s: &mut Scratch,
         loads: bool,
         stores: bool,
     ) {
         for vs in 0..self.span {
-            at.clear();
+            s.at.clear();
             for l in lanes {
                 if l.verts.start + vs < l.verts.end {
-                    at.push(At {
+                    s.at.push(At {
                         tile: l.tile,
                         at: l.verts.start + vs,
                         write: true,
                     });
                 }
             }
-            if at.is_empty() {
+            if s.at.is_empty() {
                 break;
             }
             let mut cycles = 0.0;
             if loads {
                 for x in &self.inputs {
                     if x.prov == Provenance::DstPartition {
-                        cycles += self.load(sim, x, at, tile_len);
+                        cycles += self.load(sim, x, s, tile_len);
                     }
                 }
             }
             if stores && self.output.prov == Provenance::DstPartition {
-                cycles += self.store(sim, at, tile_len);
+                cycles += self.store(sim, s, tile_len);
             }
             sim.compute(cycles);
         }
@@ -782,96 +774,77 @@ impl<'a> Tracer<'a> {
         tile * self.plan.tile_size
     }
 
-    /// Instructions one lane issues per `words`-word row: one per word
-    /// for a thread, one per 32-word chunk for a warp.
-    fn issues(&self, words: usize) -> usize {
-        match self.mapping {
-            Mapping::Thread => words,
-            Mapping::Warp => words.div_ceil(32),
-        }
-    }
-
     fn addr(&self, x: &Operand, a: &At) -> u64 {
         x.addr(&self.lay, self.row(x.prov, a.at), self.tile_off(a.tile))
     }
 
-    /// Loads input `x` at every active lane; a warp reads a scalar operand
-    /// as one broadcast word.
-    fn load(&self, sim: &mut KernelSim, x: &Operand, at: &[At], tile_len: usize) -> f64 {
-        if x.scalar && self.mapping == Mapping::Warp {
-            self.index(sim, at, |a| self.addr(x, a))
-        } else {
-            let words = if x.scalar { 1 } else { tile_len };
-            self.rows(sim, Kind::Load, x, at, words)
-        }
+    /// Loads input `x` at every active lane: one word of a scalar operand,
+    /// the tile of a feature row.
+    fn load(&self, sim: &mut KernelSim, x: &Operand, s: &mut Scratch, tile_len: usize) -> f64 {
+        let words = if x.scalar { 1 } else { tile_len };
+        let rows = s.at.iter().map(|a| self.addr(x, a));
+        self.issue(sim, Kind::Load, &mut s.bases, rows, words, iter::empty())
     }
 
     /// Writes the output at every lane that writes this step, atomically
-    /// when the IR store is atomic.
-    fn store(&self, sim: &mut KernelSim, at: &[At], tile_len: usize) -> f64 {
+    /// when the IR store is atomic; atomics carry the tile-0 lanes' rows as
+    /// conflict groups.
+    fn store(&self, sim: &mut KernelSim, s: &mut Scratch, tile_len: usize) -> f64 {
+        let writers = s.at.iter().filter(|a| a.write);
+        let rows = writers.clone().map(|a| self.addr(&self.output, a));
         let kind = if self.atomic {
             Kind::Atomic
         } else {
             Kind::Store
         };
-        self.rows(sim, kind, &self.output, at, tile_len)
-    }
-
-    /// Reads one index word per active lane.
-    fn index(&self, sim: &mut KernelSim, at: &[At], addr: impl Fn(&At) -> u64) -> f64 {
-        sim.load(match self.mapping {
-            Mapping::Thread => Access::Scatter {
-                addrs: at.iter().map(addr).collect(),
-            },
-            Mapping::Warp => Access::Broadcast { addr: addr(&at[0]) },
-        });
-        costs::CYCLES_PER_MEM_ISSUE
-    }
-
-    /// Issues `words` consecutive words of `x` per lane taking part (every
-    /// lane for a load, the writing lanes for a store), or nothing if none
-    /// does. A warp splits the row into 32-word chunks; atomics carry the
-    /// tile-0 lanes' rows as conflict groups, on a warp's first chunk.
-    fn rows(&self, sim: &mut KernelSim, kind: Kind, x: &Operand, at: &[At], words: usize) -> f64 {
-        let lanes = at.iter().filter(|a| kind == Kind::Load || a.write);
-        let mut groups = lanes
-            .clone()
+        let groups = writers
             .filter(|a| a.tile == 0)
-            .map(|a| self.row(x.prov, a.at));
-        let mut issue = |sim: &mut KernelSim, access| match kind {
-            Kind::Load => sim.load(access),
-            Kind::Store => sim.store(access),
-            Kind::Atomic => sim.atomic(access, &mut groups),
-        };
-        match self.mapping {
-            Mapping::Thread => {
-                let mut bases = Vec::with_capacity(at.len());
-                bases.extend(lanes.map(|a| self.addr(x, a)));
-                if bases.is_empty() {
-                    return 0.0;
+            .map(|a| self.row(self.output.prov, a.at));
+        self.issue(sim, kind, &mut s.bases, rows, tile_len, groups)
+    }
+
+    /// Issues `words` consecutive words from each lane's base in `lanes`
+    /// (gathered into the reused `bases`), or nothing if there is no lane,
+    /// and returns the issue cycles. A thread item's per-word loop
+    /// collapses into one access of its whole row; a warp item's lanes
+    /// cover `width` words per access, and an atomic carries its conflict
+    /// `groups` on the first.
+    fn issue(
+        &self,
+        sim: &mut KernelSim,
+        kind: Kind,
+        bases: &mut Vec<u64>,
+        lanes: impl Iterator<Item = u64>,
+        words: usize,
+        mut groups: impl Iterator<Item = u64>,
+    ) -> f64 {
+        bases.clear();
+        bases.extend(lanes);
+        if bases.is_empty() {
+            return 0.0;
+        }
+        let chunk = if self.width > 1 { self.width } else { words };
+        for off in (0..words).step_by(chunk.max(1)) {
+            if off > 0 {
+                for b in bases.iter_mut() {
+                    *b += chunk as u64 * 4;
                 }
-                let bytes = (words * 4) as u32;
-                issue(sim, Access::PerLaneRows { bases, bytes });
             }
-            Mapping::Warp => {
-                let Some(a) = lanes.clone().next() else {
-                    return 0.0;
-                };
-                let base = self.addr(x, a);
-                for off in (0..words).step_by(32) {
-                    let access = Access::Coalesced {
-                        base: base + off as u64 * 4,
-                        lanes: (words - off).min(32) as u32,
-                    };
-                    issue(sim, access);
-                }
+            let access = Access {
+                bases,
+                bytes: ((words - off).min(chunk) * 4) as u32,
+            };
+            match kind {
+                Kind::Load => sim.load(access),
+                Kind::Store => sim.store(access),
+                Kind::Atomic => sim.atomic(access, &mut groups),
             }
         }
         let mut cycles = costs::CYCLES_PER_MEM_ISSUE;
         if kind == Kind::Atomic {
             cycles += costs::CYCLES_ATOMIC_ISSUE;
         }
-        self.issues(words) as f64 * cycles
+        words.div_ceil(self.width) as f64 * cycles
     }
 }
 

@@ -330,6 +330,18 @@ impl KernelIr {
         })
     }
 
+    /// Feature words one work item covers per instruction: the feature
+    /// loop's stride, 1 for a thread item and 32 for a warp item.
+    pub fn lane_stride(&self) -> usize {
+        self.loops
+            .iter()
+            .find_map(|l| match l {
+                Loop::Feature { stride, .. } => Some(*stride),
+                _ => None,
+            })
+            .unwrap_or(1)
+    }
+
     /// Whether work items iterate edge slots (vs destination vertices).
     pub fn edge_parallel(&self) -> bool {
         self.loops.contains(&Loop::EdgeGroup)

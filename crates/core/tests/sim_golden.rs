@@ -435,13 +435,16 @@ fn reused_caches_match_fresh_threads() {
                         let mut sim = KernelSim::new(&v100, LaunchConfig::new(4, 256));
                         sim.begin_block(0);
                         for i in 0..4096u64 {
-                            sim.load(Access::Coalesced {
-                                base: i * 128,
-                                lanes: 32,
+                            sim.load(Access {
+                                bases: &[i * 128],
+                                bytes: 128,
                             });
                         }
                         sim.end_block();
-                        sim.load(Access::Broadcast { addr: 0 });
+                        sim.load(Access {
+                            bases: &[0],
+                            bytes: 4,
+                        });
                     });
                     assert!(panicked.is_err(), "a load outside a block must panic");
                 }

@@ -1,75 +1,43 @@
-//! Warp memory-access patterns and the coalescer.
+//! Warp memory accesses and the coalescer.
 //!
 //! A warp instruction on a real GPU issues one address per active lane; the
-//! load/store unit *coalesces* those 32 addresses into the minimal set of
-//! memory transactions (32-byte sectors on Volta/Ampere). The choice of
-//! parallelization strategy changes exactly this pattern — e.g.
-//! *warp-vertex* makes lanes read consecutive feature elements (1–4
-//! transactions), while *thread-vertex* makes each lane read a different
-//! vertex's row (up to 32 transactions) — which is the mechanism behind the
-//! locality column of paper Table 6.
+//! load/store unit *coalesces* those addresses into the minimal set of
+//! memory transactions (32-byte sectors on Volta/Ampere). At the memory
+//! system the parallelization strategies differ only in which addresses
+//! their lanes touch — e.g. *warp-vertex* makes lanes read consecutive
+//! feature elements of one row (1–4 transactions), while *thread-vertex*
+//! makes each lane read a different vertex's row (up to 32 transactions) —
+//! which is the mechanism behind the locality column of paper Table 6. So
+//! one shape describes every access: each active lane touches a run of
+//! consecutive bytes from its own base address.
 
 use crate::DeviceConfig;
 
-/// The addresses touched by one warp memory instruction.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Access {
-    /// `lanes` active lanes read consecutive 4-byte words from `base`
-    /// (perfectly coalesced, e.g. feature-dimension parallelism).
-    Coalesced {
-        /// Byte address of lane 0.
-        base: u64,
-        /// Number of active lanes (1..=32).
-        lanes: u32,
-    },
-    /// Every active lane reads the same 4-byte word (e.g. an edge weight
-    /// shared by the warp).
-    Broadcast {
-        /// Byte address.
-        addr: u64,
-    },
-    /// Each lane streams `bytes` consecutive bytes from its own base
-    /// address (e.g. thread-per-vertex iterating a feature row; the
-    /// per-feature loop is collapsed into one pattern).
-    PerLaneRows {
-        /// Byte base address per active lane.
-        bases: Vec<u64>,
-        /// Row length in bytes streamed by each lane.
-        bytes: u32,
-    },
-    /// Arbitrary 4-byte access per active lane (fully divergent gather).
-    Scatter {
-        /// Byte address per active lane.
-        addrs: Vec<u64>,
-    },
+/// The addresses touched by one warp memory instruction: each active lane
+/// touches `bytes` consecutive bytes from its entry in `bases`.
+///
+/// Bases are 4-byte aligned and `bytes` is a positive multiple of 4. One
+/// word shared by the warp is one 4-byte lane; a warp sweeping `n`
+/// consecutive words is one lane of `4 * n` bytes; a thread-mapped gather
+/// gives each lane its own base, and a thread walking a whole row collapses
+/// its per-word loop into one access of the row's bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Access<'a> {
+    /// Byte base address per active lane.
+    pub bases: &'a [u64],
+    /// Bytes each lane touches from its base.
+    pub bytes: u32,
 }
 
-impl Access {
+impl Access<'_> {
     /// Appends the distinct memory-transaction line ids of this access to
     /// `out`, given the device's line (sector) size. Duplicate lines within
     /// the warp are merged, as the hardware coalescer does.
     pub fn lines(&self, device: &DeviceConfig, out: &mut Vec<u64>) {
         let lb = device.line_bytes as u64;
         let start = out.len();
-        match self {
-            Access::Coalesced { base, lanes } => {
-                let first = base / lb;
-                let last = (base + (*lanes as u64) * 4 - 1) / lb;
-                out.extend(first..=last);
-            }
-            Access::Broadcast { addr } => out.push(addr / lb),
-            Access::PerLaneRows { bases, bytes } => {
-                for &b in bases {
-                    let first = b / lb;
-                    let last = (b + *bytes as u64 - 1) / lb;
-                    out.extend(first..=last);
-                }
-            }
-            Access::Scatter { addrs } => {
-                for &a in addrs {
-                    out.push(a / lb);
-                }
-            }
+        for &b in self.bases {
+            out.extend(b / lb..=(b + u64::from(self.bytes) - 1) / lb);
         }
         // Hardware coalescing: dedup lines within this instruction.
         let slice = &mut out[start..];
@@ -87,38 +55,16 @@ impl Access {
     }
 
     /// Appends the 4-byte **word addresses** this access touches to `out`
-    /// (byte addresses rounded down to word granularity), one entry per
-    /// active lane per word — duplicates are *preserved*, unlike the
-    /// coalescer view of [`Access::lines`]. This is the write-set view used
-    /// by the race cross-check: two lanes of one warp instruction hitting
-    /// the same word are two distinct writers racing on one element, even
-    /// though the hardware coalescer would merge their transactions.
+    /// (byte addresses divided by 4), one entry per active lane per word —
+    /// duplicates are *preserved*, unlike the coalescer view of
+    /// [`Access::lines`]. This is the write-set view used by the race
+    /// cross-check: two lanes of one warp instruction hitting the same word
+    /// are two distinct writers racing on one element, even though the
+    /// hardware coalescer would merge their transactions.
     pub fn word_addrs(&self, out: &mut Vec<u64>) {
-        match self {
-            Access::Coalesced { base, lanes } => {
-                out.extend((0..*lanes as u64).map(|i| (base + i * 4) / 4));
-            }
-            Access::Broadcast { addr } => out.push(addr / 4),
-            Access::PerLaneRows { bases, bytes } => {
-                let words = (*bytes as u64).div_ceil(4);
-                for &b in bases {
-                    out.extend((0..words).map(|i| (b + i * 4) / 4));
-                }
-            }
-            Access::Scatter { addrs } => out.extend(addrs.iter().map(|a| a / 4)),
-        }
-    }
-
-    /// Number of 4-byte words this access moves (for bandwidth accounting
-    /// of useful data, independent of transaction granularity).
-    pub fn words(&self) -> u64 {
-        match self {
-            Access::Coalesced { lanes, .. } => *lanes as u64,
-            Access::Broadcast { .. } => 1,
-            Access::PerLaneRows { bases, bytes } => {
-                bases.len() as u64 * (*bytes as u64).div_ceil(4)
-            }
-            Access::Scatter { addrs } => addrs.len() as u64,
+        let words = u64::from(self.bytes).div_ceil(4);
+        for &b in self.bases {
+            out.extend(b / 4..b / 4 + words);
         }
     }
 }
@@ -137,29 +83,36 @@ mod tests {
     #[test]
     fn full_warp_coalesced_needs_four_sectors() {
         // 32 lanes x 4 bytes = 128 bytes = 4 x 32-byte sectors.
-        let a = Access::Coalesced { base: 0, lanes: 32 };
+        let a = Access {
+            bases: &[0],
+            bytes: 128,
+        };
         assert_eq!(lines_of(&a), vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn misaligned_coalesced_spills_one_extra_sector() {
-        let a = Access::Coalesced {
-            base: 16,
-            lanes: 32,
+        let a = Access {
+            bases: &[16],
+            bytes: 128,
         };
         assert_eq!(lines_of(&a).len(), 5);
     }
 
     #[test]
     fn broadcast_is_one_transaction() {
-        let a = Access::Broadcast { addr: 1000 };
+        let a = Access {
+            bases: &[1000],
+            bytes: 4,
+        };
         assert_eq!(lines_of(&a).len(), 1);
     }
 
     #[test]
     fn scatter_deduplicates_same_line() {
-        let a = Access::Scatter {
-            addrs: vec![0, 4, 8, 64, 68, 128],
+        let a = Access {
+            bases: &[0, 4, 8, 64, 68, 128],
+            bytes: 4,
         };
         // Lines: 0 (x3), 2 (x2), 4 (x1) -> 3 transactions.
         assert_eq!(lines_of(&a), vec![0, 2, 4]);
@@ -167,8 +120,8 @@ mod tests {
 
     #[test]
     fn per_lane_rows_counts_rows_times_sectors() {
-        let a = Access::PerLaneRows {
-            bases: vec![0, 1024, 2048],
+        let a = Access {
+            bases: &[0, 1024, 2048],
             bytes: 64,
         };
         // Each row: 64 bytes = 2 sectors; rows do not overlap -> 6 lines.
@@ -177,8 +130,8 @@ mod tests {
 
     #[test]
     fn per_lane_rows_with_shared_base_coalesces() {
-        let a = Access::PerLaneRows {
-            bases: vec![0, 0, 0, 0],
+        let a = Access {
+            bases: &[0, 0, 0, 0],
             bytes: 32,
         };
         assert_eq!(lines_of(&a), vec![0]);
@@ -186,16 +139,14 @@ mod tests {
 
     #[test]
     fn words_counts_useful_data() {
-        assert_eq!(Access::Coalesced { base: 0, lanes: 7 }.words(), 7);
-        assert_eq!(Access::Broadcast { addr: 0 }.words(), 1);
-        assert_eq!(
-            Access::PerLaneRows {
-                bases: vec![0, 64],
-                bytes: 10
-            }
-            .words(),
-            6
-        );
-        assert_eq!(Access::Scatter { addrs: vec![0, 4] }.words(), 2);
+        let words = |bases: &[u64], bytes| {
+            let mut v = Vec::new();
+            Access { bases, bytes }.word_addrs(&mut v);
+            v
+        };
+        assert_eq!(words(&[0], 28), (0..7).collect::<Vec<_>>());
+        assert_eq!(words(&[64], 4), vec![16]);
+        assert_eq!(words(&[0, 64], 10), vec![0, 1, 2, 16, 17, 18]);
+        assert_eq!(words(&[0, 4], 4), vec![0, 1]);
     }
 }

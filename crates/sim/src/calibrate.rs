@@ -59,9 +59,9 @@ fn stream_bandwidth(device: &DeviceConfig) -> CalibrationPoint {
         sim.begin_block(b as u32);
         for _ in 0..warps_per_block {
             for _ in 0..loads_per_warp {
-                sim.load(Access::Coalesced {
-                    base: addr,
-                    lanes: 32,
+                sim.load(Access {
+                    bases: &[addr],
+                    bytes: 128,
                 });
                 addr += 128;
             }
@@ -93,9 +93,9 @@ fn l2_bandwidth(device: &DeviceConfig) -> CalibrationPoint {
             for _ in 0..loads_per_warp {
                 // Stride by L1-defeating jumps within the L2 working set.
                 cursor = (cursor + 4099) % ws_lines;
-                sim.load(Access::Coalesced {
-                    base: cursor * device.line_bytes as u64,
-                    lanes: 8, // one sector
+                sim.load(Access {
+                    bases: &[cursor * device.line_bytes as u64],
+                    bytes: 32, // one sector
                 });
             }
         }
@@ -121,8 +121,9 @@ fn dram_latency(device: &DeviceConfig) -> CalibrationPoint {
     let mut sim = KernelSim::new(device, LaunchConfig::new(1, 32));
     sim.begin_block(0);
     for i in 0..chases {
-        sim.load(Access::Broadcast {
-            addr: (i as u64) * 4096, // distinct lines, no reuse
+        sim.load(Access {
+            bases: &[(i as u64) * 4096], // distinct lines, no reuse
+            bytes: 4,
         });
     }
     sim.end_block();
@@ -146,7 +147,13 @@ fn atomic_serialization(device: &DeviceConfig) -> CalibrationPoint {
     for b in 0..blocks {
         sim.begin_block(b as u32);
         for _ in 0..per_block {
-            sim.atomic(Access::Broadcast { addr: 0 }, [0u64]);
+            sim.atomic(
+                Access {
+                    bases: &[0],
+                    bytes: 4,
+                },
+                [0u64],
+            );
         }
         sim.end_block();
     }

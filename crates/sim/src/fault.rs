@@ -269,12 +269,18 @@ mod tests {
 
     fn standard_events(sim: &mut FaultySim) {
         for i in 0..100u64 {
-            sim.load(Access::Coalesced {
-                base: i * 128,
-                lanes: 32,
+            sim.load(Access {
+                bases: &[i * 128],
+                bytes: 128,
             });
         }
-        sim.atomic(Access::Broadcast { addr: 64 }, [9u64]);
+        sim.atomic(
+            Access {
+                bases: &[64],
+                bytes: 4,
+            },
+            [9u64],
+        );
         sim.compute(50.0);
     }
 
@@ -286,12 +292,18 @@ mod tests {
         for b in 0..4 {
             sim.begin_block(b);
             for i in 0..100u64 {
-                sim.load(Access::Coalesced {
-                    base: i * 128,
-                    lanes: 32,
+                sim.load(Access {
+                    bases: &[i * 128],
+                    bytes: 128,
                 });
             }
-            sim.atomic(Access::Broadcast { addr: 64 }, [9u64]);
+            sim.atomic(
+                Access {
+                    bases: &[64],
+                    bytes: 4,
+                },
+                [9u64],
+            );
             sim.compute(50.0);
             sim.end_block();
         }

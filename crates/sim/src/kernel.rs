@@ -489,7 +489,10 @@ mod tests {
     fn repeated_loads_hit_l1() {
         let r = run_blocks(1, |sim, _| {
             for _ in 0..10 {
-                sim.load(Access::Coalesced { base: 0, lanes: 32 });
+                sim.load(Access {
+                    bases: &[0],
+                    bytes: 128,
+                });
             }
         });
         assert!(r.l1_hit_rate > 0.85, "l1 hit rate {}", r.l1_hit_rate);
@@ -499,9 +502,9 @@ mod tests {
     fn distinct_streams_miss() {
         let r = run_blocks(1, |sim, _| {
             for i in 0..10_000u64 {
-                sim.load(Access::Coalesced {
-                    base: i * 128,
-                    lanes: 32,
+                sim.load(Access {
+                    bases: &[i * 128],
+                    bytes: 128,
                 });
             }
         });
@@ -515,9 +518,9 @@ mod tests {
         // should hit in L2 even though its L1 is cold.
         let r = run_blocks(2, |sim, _| {
             for i in 0..100u64 {
-                sim.load(Access::Coalesced {
-                    base: i * 128,
-                    lanes: 32,
+                sim.load(Access {
+                    bases: &[i * 128],
+                    bytes: 128,
                 });
             }
         });
@@ -528,7 +531,13 @@ mod tests {
     fn atomics_bypass_l1_and_track_conflicts() {
         let r = run_blocks(4, |sim, _| {
             for _ in 0..25 {
-                sim.atomic(Access::Broadcast { addr: 64 }, [7u64]);
+                sim.atomic(
+                    Access {
+                        bases: &[64],
+                        bytes: 4,
+                    },
+                    [7u64],
+                );
             }
         });
         assert_eq!(r.atomic_ops, 100.0);
@@ -538,12 +547,24 @@ mod tests {
     #[test]
     fn hot_atomic_serialization_dominates_time() {
         let light = run_blocks(4, |sim, _| {
-            sim.atomic(Access::Broadcast { addr: 64 }, [7u64]);
+            sim.atomic(
+                Access {
+                    bases: &[64],
+                    bytes: 4,
+                },
+                [7u64],
+            );
             sim.compute(1.0);
         });
         let heavy = run_blocks(4, |sim, _| {
             for _ in 0..100_000 {
-                sim.atomic(Access::Broadcast { addr: 64 }, [7u64]);
+                sim.atomic(
+                    Access {
+                        bases: &[64],
+                        bytes: 4,
+                    },
+                    [7u64],
+                );
             }
         });
         assert!(heavy.time_ms > light.time_ms * 10.0);
@@ -554,7 +575,10 @@ mod tests {
         let d = DeviceConfig::v100();
         let mut sim = KernelSim::new(&d, LaunchConfig::new(8, 256).with_replication(8.0));
         sim.begin_block(0);
-        sim.load(Access::Coalesced { base: 0, lanes: 32 });
+        sim.load(Access {
+            bases: &[0],
+            bytes: 128,
+        });
         sim.end_block();
         let r = sim.finish();
         // The 8 replicas of this block together fetch each of the 4 sectors
@@ -574,8 +598,9 @@ mod tests {
         for pass in 0..2 {
             let _ = pass;
             for i in 0..lines {
-                sim.load(Access::Broadcast {
-                    addr: i * d.line_bytes as u64,
+                sim.load(Access {
+                    bases: &[i * d.line_bytes as u64],
+                    bytes: 4,
                 });
             }
         }
@@ -615,18 +640,18 @@ mod tests {
     fn more_blocks_increase_sm_efficiency() {
         let few = run_blocks(4, |sim, _| {
             for i in 0..1000u64 {
-                sim.load(Access::Coalesced {
-                    base: i * 128,
-                    lanes: 32,
+                sim.load(Access {
+                    bases: &[i * 128],
+                    bytes: 128,
                 });
             }
             sim.compute(1000.0);
         });
         let many = run_blocks(800, |sim, b| {
             for i in 0..100u64 {
-                sim.load(Access::Coalesced {
-                    base: (b as u64 * 100 + i) * 128,
-                    lanes: 32,
+                sim.load(Access {
+                    bases: &[(b as u64 * 100 + i) * 128],
+                    bytes: 128,
                 });
             }
             sim.compute(100.0);

@@ -12,8 +12,9 @@
 //! 2. **Locality** — per-SM L1 and device-wide L2 set-associative caches with
 //!    sector-granularity (32 B) transactions; reuse shows up as L1/L2 hit
 //!    rate (paper Figs. 3, 16).
-//! 3. **Coalescing** — each warp access is converted into the set of memory
-//!    transactions the 32 lanes actually require ([`Access`]).
+//! 3. **Coalescing** — each warp access ([`Access`]: a run of consecutive
+//!    bytes per active lane) is converted into the set of memory
+//!    transactions its lanes actually require.
 //! 4. **Work-efficiency** — atomically updated outputs serialize on hot
 //!    addresses ([`KernelSim::store`] with [`MemScope`]); extra address
 //!    arithmetic shows up as compute cycles.
@@ -21,10 +22,10 @@
 //!    ([`timing`]) where memory latency is hidden proportionally to resident
 //!    warps, so low occupancy hurts exactly when the paper says it does.
 //!
-//! The simulator is *trace-driven*: the functional executor in
-//! `ugrapher-core` streams one [`Access`]/compute event per warp
-//! instruction, and [`KernelSim::finish`] turns the accumulated per-block
-//! costs into a [`SimReport`] with time and nvprof-style metrics.
+//! The simulator is *trace-driven*: the trace walker in `ugrapher-core`
+//! streams one [`Access`]/compute event per warp instruction, and
+//! [`KernelSim::finish`] turns the accumulated per-block costs into a
+//! [`SimReport`] with time and nvprof-style metrics.
 //!
 //! # Example
 //!
@@ -36,7 +37,8 @@
 //! let mut sim = KernelSim::new(&device, launch);
 //! for block in 0..128u32 {
 //!     sim.begin_block(block);
-//!     sim.load(Access::Coalesced { base: (block as u64) * 1024, lanes: 32 });
+//!     // One lane base, 32 consecutive words: a coalesced warp load.
+//!     sim.load(Access { bases: &[u64::from(block) * 1024], bytes: 128 });
 //!     sim.compute(8.0);
 //!     sim.end_block();
 //! }

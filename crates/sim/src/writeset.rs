@@ -119,7 +119,13 @@ mod tests {
     #[test]
     fn single_writes_are_not_conflicts() {
         let mut log = WriteLog::new();
-        log.record(&Access::Coalesced { base: 0, lanes: 8 }, false);
+        log.record(
+            &Access {
+                bases: &[0],
+                bytes: 32,
+            },
+            false,
+        );
         assert_eq!(log.num_addresses(), 8);
         assert!(!log.has_conflicts());
         assert!(log.contended_addresses().is_empty());
@@ -128,8 +134,20 @@ mod tests {
     #[test]
     fn double_write_is_a_conflict() {
         let mut log = WriteLog::new();
-        log.record(&Access::Broadcast { addr: 64 }, false);
-        log.record(&Access::Broadcast { addr: 64 }, false);
+        log.record(
+            &Access {
+                bases: &[64],
+                bytes: 4,
+            },
+            false,
+        );
+        log.record(
+            &Access {
+                bases: &[64],
+                bytes: 4,
+            },
+            false,
+        );
         assert!(log.has_conflicts());
         let contended = log.contended_addresses();
         assert_eq!(
@@ -148,8 +166,20 @@ mod tests {
     #[test]
     fn atomic_conflicts_are_protected() {
         let mut log = WriteLog::new();
-        log.record(&Access::Broadcast { addr: 128 }, true);
-        log.record(&Access::Broadcast { addr: 128 }, true);
+        log.record(
+            &Access {
+                bases: &[128],
+                bytes: 4,
+            },
+            true,
+        );
+        log.record(
+            &Access {
+                bases: &[128],
+                bytes: 4,
+            },
+            true,
+        );
         assert!(log.has_conflicts(), "two writers still contend");
         assert!(
             log.unprotected_addresses().is_empty(),
@@ -160,8 +190,20 @@ mod tests {
     #[test]
     fn mixed_atomicity_on_one_word_is_unprotected() {
         let mut log = WriteLog::new();
-        log.record(&Access::Broadcast { addr: 0 }, true);
-        log.record(&Access::Broadcast { addr: 0 }, false);
+        log.record(
+            &Access {
+                bases: &[0],
+                bytes: 4,
+            },
+            true,
+        );
+        log.record(
+            &Access {
+                bases: &[0],
+                bytes: 4,
+            },
+            false,
+        );
         assert_eq!(log.unprotected_addresses().len(), 1);
     }
 
@@ -172,8 +214,9 @@ mod tests {
         // merge their transactions, but the write log must not.
         let mut log = WriteLog::new();
         log.record(
-            &Access::Scatter {
-                addrs: vec![100, 100],
+            &Access {
+                bases: &[100, 100],
+                bytes: 4,
             },
             false,
         );
@@ -191,8 +234,8 @@ mod tests {
     fn per_lane_rows_cover_whole_rows() {
         let mut log = WriteLog::new();
         log.record(
-            &Access::PerLaneRows {
-                bases: vec![0, 1024],
+            &Access {
+                bases: &[0, 1024],
                 bytes: 16,
             },
             false,

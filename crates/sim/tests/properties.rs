@@ -55,10 +55,12 @@ fn repeating_a_trace_only_improves_hit_rate() {
 fn coalescer_never_exceeds_one_line_per_lane() {
     forall("coalescer_line_bound", 64, |rng| {
         let n = rng.random_range(1usize..32);
-        let addrs: Vec<u64> = (0..n).map(|_| rng.random_range(0u64..100_000)).collect();
+        // Word-aligned byte addresses in [0, 100_000), as `Access` requires.
+        let addrs: Vec<u64> = (0..n).map(|_| rng.random_range(0u64..25_000) * 4).collect();
         let d = DeviceConfig::v100();
-        let access = Access::Scatter {
-            addrs: addrs.clone(),
+        let access = Access {
+            bases: &addrs,
+            bytes: 4,
         };
         let mut lines = Vec::new();
         access.lines(&d, &mut lines);
@@ -85,9 +87,9 @@ fn coalesced_access_uses_minimal_lines() {
         let lanes = rng.random_range(1u32..=32);
         let base = rng.random_range(0u64..10_000);
         let d = DeviceConfig::v100();
-        let access = Access::Coalesced {
-            base: base * 4,
-            lanes,
+        let access = Access {
+            bases: &[base * 4],
+            bytes: lanes * 4,
         };
         let mut lines = Vec::new();
         access.lines(&d, &mut lines);
@@ -111,9 +113,9 @@ fn report_metrics_stay_in_range() {
         for b in 0..blocks {
             sim.begin_block(b);
             for i in 0..loads_per_block {
-                sim.load(Access::Coalesced {
-                    base: (b as u64 * 1000 + i as u64) * 64,
-                    lanes: 32,
+                sim.load(Access {
+                    bases: &[(b as u64 * 1000 + i as u64) * 64],
+                    bytes: 128,
                 });
             }
             sim.compute(compute);
@@ -152,9 +154,9 @@ fn more_work_never_reduces_time() {
             for b in 0..d.num_sms as u32 {
                 sim.begin_block(b);
                 for i in 0..n_loads {
-                    sim.load(Access::Coalesced {
-                        base: (b as u64 * 100_000 + i as u64) * 128,
-                        lanes: 32,
+                    sim.load(Access {
+                        bases: &[(b as u64 * 100_000 + i as u64) * 128],
+                        bytes: 128,
                     });
                 }
                 sim.end_block();

@@ -331,11 +331,17 @@ fn fault_injected_devices_fail_typed_or_simulate_sanely() {
         let mut sim = inj.instrument(&base, LaunchConfig::new(4, 256)).unwrap();
         for b in 0..4 {
             sim.begin_block(b);
-            sim.load(Access::Coalesced {
-                base: 4096 * u64::from(b),
-                lanes: 32,
+            sim.load(Access {
+                bases: &[4096 * u64::from(b)],
+                bytes: 128,
             });
-            sim.atomic(Access::Broadcast { addr: 64 }, [u64::from(b)]);
+            sim.atomic(
+                Access {
+                    bases: &[64],
+                    bytes: 4,
+                },
+                [u64::from(b)],
+            );
             sim.compute(10.0);
             sim.end_block();
         }
