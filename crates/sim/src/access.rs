@@ -35,9 +35,13 @@ impl Access<'_> {
     /// the warp are merged, as the hardware coalescer does.
     pub fn lines(&self, device: &DeviceConfig, out: &mut Vec<u64>) {
         let lb = device.line_bytes as u64;
+        let bytes = u64::from(self.bytes);
         let start = out.len();
         for &b in self.bases {
-            out.extend(b / lb..=(b + u64::from(self.bytes) - 1) / lb);
+            out.push(b / lb);
+            if b % lb + bytes > lb {
+                out.extend(b / lb + 1..=(b + bytes - 1) / lb);
+            }
         }
         // Hardware coalescing: dedup lines within this instruction.
         let slice = &mut out[start..];
