@@ -671,7 +671,7 @@ impl<'a> Tracer<'a> {
     fn segment(&self, sim: &mut KernelSim, lanes: &[Lane], tile_len: usize, s: &mut Scratch) {
         if self.span > 0 {
             // The segment's vertex offsets plus the end offset, 8 bytes
-            // each, in one instruction.
+            // each, charged as one instruction.
             let ptrs = lanes
                 .iter()
                 .map(|l| self.lay.in_ptr + l.verts.start as u64 * 8);
