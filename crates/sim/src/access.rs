@@ -150,7 +150,7 @@ mod tests {
         };
         assert_eq!(words(&[0], 28), (0..7).collect::<Vec<_>>());
         assert_eq!(words(&[64], 4), vec![16]);
-        assert_eq!(words(&[0, 64], 10), vec![0, 1, 2, 16, 17, 18]);
+        assert_eq!(words(&[0, 64], 12), vec![0, 1, 2, 16, 17, 18]);
         assert_eq!(words(&[0, 4], 4), vec![0, 1]);
     }
 }
