@@ -222,7 +222,7 @@ fn kernel(plan: &KernelPlan, ir: &KernelIr, name: &str) -> String {
 /// (thread or warp indexed), then one `for` per IR loop, with the
 /// innermost feature loop wrapping [`inner_body`].
 fn loop_nest(ir: &KernelIr) -> String {
-    let warp = ir.warp_per_item();
+    let warp = ir.lane_stride() > 1;
     let edges = ir.edge_parallel();
     // The symbolic work-unit count the item partition divides: edge
     // strategies group edge slots, vertex strategies group destinations.
@@ -270,11 +270,8 @@ fn loop_nest(ir: &KernelIr) -> String {
                      {ind}    (void)src; (void)dst; (void)eid;\n"
                 ));
             }
-            Loop::Feature {
-                lane_offset,
-                stride,
-            } => {
-                let f_init = if *lane_offset { "f0 + lane" } else { "f0" };
+            Loop::Feature { stride } => {
+                let f_init = if *stride > 1 { "f0 + lane" } else { "f0" };
                 let f_step = if *stride == 1 {
                     "++f".to_owned()
                 } else {

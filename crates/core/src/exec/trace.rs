@@ -508,9 +508,6 @@ struct Tracer<'a> {
     /// group in one segment, a warp one vertex at a time; `0` for edge
     /// items.
     span: usize,
-    /// Whether per-vertex input loads precede the segment's positions
-    /// (warp) or follow them, interleaved with the stores (thread).
-    vertex_loads_first: bool,
 }
 
 impl<'a> Tracer<'a> {
@@ -576,7 +573,6 @@ impl<'a> Tracer<'a> {
                 (false, true) => 1,
                 (false, false) => plan.parallel.grouping,
             },
-            vertex_loads_first: warp,
         }
     }
 
@@ -679,7 +675,10 @@ impl<'a> Tracer<'a> {
             self.issue(sim, Kind::Load, &mut s.bases, ptrs, words, iter::empty());
             sim.compute(costs::CYCLES_PER_MEM_ISSUE);
         }
-        if self.vertex_loads_first {
+        // A warp loads the per-vertex inputs before the segment's
+        // positions; thread lanes load them after, with the stores.
+        let warp = self.width > 1;
+        if warp {
             self.per_vertex(sim, lanes, tile_len, s, true, false);
         }
         let arith = tile_len.div_ceil(self.width) as f64 * self.arith;
@@ -716,7 +715,7 @@ impl<'a> Tracer<'a> {
             }
             sim.compute(cycles);
         }
-        self.per_vertex(sim, lanes, tile_len, s, !self.vertex_loads_first, true);
+        self.per_vertex(sim, lanes, tile_len, s, !warp, true);
     }
 
     /// Touches the `DstPartition` inputs (if `loads`) and output (if

@@ -256,10 +256,8 @@ pub enum Loop {
     EdgeGroup,
     /// `for f in [f0 (+lane), min(f0 + TILE_LEN, FEAT)) step stride` —
     /// the feature tile loop. `stride > 1` means warp lanes split the
-    /// tile.
+    /// tile, each starting at `f0 + lane`.
     Feature {
-        /// The loop starts at `f0 + lane` (warp strategies).
-        lane_offset: bool,
         /// Step between iterations of one thread (1 or the warp width).
         stride: usize,
     },
@@ -316,20 +314,6 @@ impl KernelIr {
         out
     }
 
-    /// Whether one work item occupies a whole warp (feature loop strided
-    /// over lanes).
-    pub fn warp_per_item(&self) -> bool {
-        self.loops.iter().any(|l| {
-            matches!(
-                l,
-                Loop::Feature {
-                    lane_offset: true,
-                    ..
-                }
-            )
-        })
-    }
-
     /// Feature words one work item covers per instruction: the feature
     /// loop's stride, 1 for a thread item and 32 for a warp item.
     pub fn lane_stride(&self) -> usize {
@@ -362,7 +346,7 @@ impl KernelIr {
 
     /// Per-operand access-pattern classification (see [`AccessPattern`]).
     pub fn operand_patterns(&self) -> OperandPatterns {
-        let warp = self.warp_per_item();
+        let warp = self.lane_stride() > 1;
         let classify_load = |buf: OperandBuf| {
             self.loads()
                 .iter()

@@ -74,7 +74,6 @@ pub fn lower(plan: &KernelPlan) -> Result<KernelIr, CoreError> {
     }));
 
     let feature = Loop::Feature {
-        lane_offset: strategy.is_warp_per_item(),
         stride: if strategy.is_warp_per_item() { 32 } else { 1 },
     };
     let loops = if strategy.is_edge_parallel() {
@@ -107,25 +106,12 @@ mod tests {
         let ir = lower(&plan(OpInfo::aggregation_sum(), Strategy::ThreadVertex)).unwrap();
         assert_eq!(
             ir.loops,
-            vec![
-                Loop::DstGroup,
-                Loop::CsrSlots,
-                Loop::Feature {
-                    lane_offset: false,
-                    stride: 1
-                }
-            ]
+            vec![Loop::DstGroup, Loop::CsrSlots, Loop::Feature { stride: 1 }]
         );
         let ir = lower(&plan(OpInfo::aggregation_sum(), Strategy::WarpEdge)).unwrap();
         assert_eq!(
             ir.loops,
-            vec![
-                Loop::EdgeGroup,
-                Loop::Feature {
-                    lane_offset: true,
-                    stride: 32
-                }
-            ]
+            vec![Loop::EdgeGroup, Loop::Feature { stride: 32 }]
         );
     }
 
