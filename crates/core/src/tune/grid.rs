@@ -59,11 +59,6 @@ impl TuneBudget {
         self.wall_clock = Some(limit);
         self
     }
-
-    /// `true` if this budget imposes any limit.
-    pub fn is_limited(&self) -> bool {
-        self.wall_clock.is_some() || self.max_candidates.is_some()
-    }
 }
 
 /// Outcome of a grid search.

@@ -55,17 +55,6 @@ impl LaunchConfig {
     }
 }
 
-/// Which cache level a store participates in (kept public for extensions;
-/// the convenience methods [`KernelSim::load`] / [`KernelSim::atomic`]
-/// choose it automatically).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemScope {
-    /// Cached in L1 (ordinary loads and stores).
-    L1,
-    /// Bypasses L1 and operates at L2 (atomics on Volta/Ampere).
-    L2,
-}
-
 /// Simulates one kernel launch.
 ///
 /// Usage protocol: [`KernelSim::begin_block`], then any number of

@@ -15,8 +15,8 @@
 //! 3. **Coalescing** — each warp access ([`Access`]: a run of consecutive
 //!    bytes per active lane) is converted into the set of memory
 //!    transactions its lanes actually require.
-//! 4. **Work-efficiency** — atomically updated outputs serialize on hot
-//!    addresses ([`KernelSim::store`] with [`MemScope`]); extra address
+//! 4. **Work-efficiency** — atomically updated outputs bypass L1 and
+//!    serialize on hot addresses ([`KernelSim::atomic`]); extra address
 //!    arithmetic shows up as compute cycles.
 //! 5. **Latency hiding** — a wave-based analytical timing model
 //!    ([`timing`]) where memory latency is hidden proportionally to resident
@@ -65,6 +65,6 @@ pub use cache::Cache;
 pub use device::DeviceConfig;
 pub use error::SimError;
 pub use fault::{Fault, FaultInjector, FaultySim};
-pub use kernel::{KernelSim, LaunchConfig, MemScope};
+pub use kernel::{KernelSim, LaunchConfig};
 pub use report::SimReport;
 pub use writeset::{WordWrites, WriteLog};
