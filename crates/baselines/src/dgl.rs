@@ -24,7 +24,6 @@ use crate::util::run_fixed;
 /// DGL's static kernel strategy (see module docs).
 #[derive(Debug, Clone)]
 pub struct DglBackend {
-    device: DeviceConfig,
     runtime: Runtime,
 }
 
@@ -32,8 +31,7 @@ impl DglBackend {
     /// Creates a DGL-style backend for the given device.
     pub fn new(device: DeviceConfig) -> Self {
         Self {
-            runtime: Runtime::new(device.clone()),
-            device,
+            runtime: Runtime::new(device),
         }
     }
 
@@ -56,7 +54,7 @@ impl GraphOpBackend for DglBackend {
     }
 
     fn device(&self) -> &DeviceConfig {
-        &self.device
+        self.runtime.device()
     }
 
     fn run_op(

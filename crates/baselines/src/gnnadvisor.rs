@@ -30,7 +30,6 @@ const DIM_TILING: usize = 2;
 /// GNNAdvisor's fixed warp-centric kernel strategy (see module docs).
 #[derive(Debug, Clone)]
 pub struct GnnAdvisorBackend {
-    device: DeviceConfig,
     runtime: Runtime,
 }
 
@@ -38,8 +37,7 @@ impl GnnAdvisorBackend {
     /// Creates a GNNAdvisor-style backend for the given device.
     pub fn new(device: DeviceConfig) -> Self {
         Self {
-            runtime: Runtime::new(device.clone()),
-            device,
+            runtime: Runtime::new(device),
         }
     }
 
@@ -62,7 +60,7 @@ impl GraphOpBackend for GnnAdvisorBackend {
     }
 
     fn device(&self) -> &DeviceConfig {
-        &self.device
+        self.runtime.device()
     }
 
     fn supports(&self, model: ModelKind) -> bool {

@@ -43,7 +43,6 @@ fn required(
 /// PyG's gather–scatter strategy (see module docs).
 #[derive(Debug, Clone)]
 pub struct PygBackend {
-    device: DeviceConfig,
     runtime: Runtime,
 }
 
@@ -51,8 +50,7 @@ impl PygBackend {
     /// Creates a PyG-style backend for the given device.
     pub fn new(device: DeviceConfig) -> Self {
         Self {
-            runtime: Runtime::new(device.clone()),
-            device,
+            runtime: Runtime::new(device),
         }
     }
 
@@ -188,7 +186,7 @@ impl GraphOpBackend for PygBackend {
     }
 
     fn device(&self) -> &DeviceConfig {
-        &self.device
+        self.runtime.device()
     }
 
     fn run_op(
