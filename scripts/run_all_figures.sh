@@ -2,6 +2,9 @@
 # Regenerates every table and figure of the paper's evaluation in sequence,
 # collecting each binary's stdout under results/ (cargo's and the binaries'
 # progress lines go to stderr). Respects UGRAPHER_SCALE / UGRAPHER_QUICK.
+# A binary that fails leaves its results/<bin>.txt untouched and its
+# partial stdout in results/<bin>.txt.partial; the remaining binaries still
+# run, and the script then exits non-zero, naming the failures.
 set -u
 cd "$(dirname "$0")/.."
 mkdir -p results
@@ -30,12 +33,19 @@ BINS=(
   tuner_comparison
 )
 
+failed=()
 for bin in "${BINS[@]}"; do
   echo "=== running $bin ==="
-  if cargo run --release --quiet -p ugrapher-bench --bin "$bin" >"results/$bin.txt"; then
+  if cargo run --release --quiet -p ugrapher-bench --bin "$bin" >"results/$bin.txt.partial"; then
+    mv "results/$bin.txt.partial" "results/$bin.txt"
     echo "    ok -> results/$bin.txt"
   else
-    echo "    FAILED -> results/$bin.txt"
+    failed+=("$bin")
+    echo "    FAILED -> results/$bin.txt.partial"
   fi
 done
+if ((${#failed[@]})); then
+  echo "failed figure binaries: ${failed[*]}" >&2
+  exit 1
+fi
 echo "all figure binaries done."
