@@ -235,43 +235,6 @@ impl Runtime {
         &self.device
     }
 
-    /// Picks a schedule for `(op, graph, feat)`: the predictor if one is
-    /// installed, otherwise sampled grid search, with graceful fallback
-    /// between stages (fallbacks taken are not reported here; use
-    /// [`Runtime::run`] to observe them).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] if the operator is invalid, the device config
-    /// is unusable, or every fallback stage failed.
-    pub fn choose_schedule(
-        &self,
-        graph: &GraphTensor<'_>,
-        op: &OpInfo,
-        feat: usize,
-    ) -> Result<ParallelInfo, CoreError> {
-        self.choose_schedule_shaped(graph, op, feat, (false, false))
-    }
-
-    /// [`Runtime::choose_schedule`] with explicit operand shapes, so grid
-    /// search costs scalar-broadcast operands as they will actually run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] if the operator is invalid, the device config
-    /// is unusable, or every fallback stage failed.
-    pub fn choose_schedule_shaped(
-        &self,
-        graph: &GraphTensor<'_>,
-        op: &OpInfo,
-        feat: usize,
-        scalars: (bool, bool),
-    ) -> Result<ParallelInfo, CoreError> {
-        let mut report = RobustnessReport::new();
-        let trace_id = ugrapher_obs::next_trace_id();
-        self.choose_with_fallback(graph, op, feat, scalars, &mut report, trace_id)
-    }
-
     /// The schedule-selection fallback chain: predictor → budgeted grid
     /// search → thread-vertex default. Each downgrade is recorded in
     /// `report`.
@@ -449,6 +412,18 @@ impl Runtime {
         result
     }
 
+    /// Rejects an unusable device or a structurally broken graph before
+    /// anything is tuned or measured on them.
+    fn check_context(&self, graph: &GraphTensor<'_>) -> Result<(), CoreError> {
+        self.device.validate()?;
+        match graph.validation_error() {
+            Some(reason) => Err(CoreError::GraphInvalid {
+                reason: reason.to_owned(),
+            }),
+            None => Ok(()),
+        }
+    }
+
     fn run_traced(
         &self,
         graph: &GraphTensor<'_>,
@@ -456,12 +431,7 @@ impl Runtime {
         parallel: Option<ParallelInfo>,
         trace_id: u64,
     ) -> Result<UGrapherResult, CoreError> {
-        self.device.validate()?;
-        if let Some(reason) = graph.validation_error() {
-            return Err(CoreError::GraphInvalid {
-                reason: reason.to_owned(),
-            });
-        }
+        self.check_context(graph)?;
         for (name, t) in [('A', args.operands.a), ('B', args.operands.b)] {
             if let Some(t) = t {
                 t.validate_finite().map_err(|e| CoreError::TensorInvalid {
@@ -472,44 +442,16 @@ impl Runtime {
         let feat = functional::check_shapes(graph.graph(), &args.op, &args.operands)?;
         let scalar = |t: Option<&Tensor2>| t.is_some_and(|t| t.cols() == 1) && feat > 1;
         let scalars = (scalar(args.operands.a), scalar(args.operands.b));
-        let mut robustness = RobustnessReport::new();
-        robustness.trace_id = trace_id;
-
-        // Compiled-plan cache fast path: a hit replays the stored schedule,
-        // plan, determinism class, downgrades and report, skipping schedule
-        // selection, plan generation, classification and simulation. Only
-        // the functional execution on the caller's operands runs either way.
-        // Downgrades are pushed directly (not via `record`) so hits do not
-        // re-bump the fallback metrics for decisions made once at compile
-        // time.
-        let key = PlanKey {
-            op: args.op,
-            explicit: parallel,
-            graph_fingerprint: graph.fingerprint(),
-            feat,
-            scalars,
+        // Only the functional execution on the caller's operands runs on
+        // both paths of the cache step; a hit replays everything else from
+        // the entry.
+        let (entry, plan_cache_hit) =
+            self.compiled_plan(graph, &args.op, parallel, feat, scalars, trace_id)?;
+        let robustness = RobustnessReport {
+            downgrades: entry.downgrades.clone(),
+            trace_id,
+            determinism: Some(entry.determinism),
         };
-        let hit = self
-            .plan_cache
-            .as_ref()
-            .and_then(|c| c.get_for(&key, &self.device, self.fidelity));
-        let plan_cache_hit = hit.is_some();
-        let entry = match hit {
-            Some(entry) => {
-                robustness
-                    .downgrades
-                    .extend(entry.downgrades.iter().cloned());
-                entry
-            }
-            None => {
-                let entry = self.compile(graph, &key, &mut robustness, trace_id)?;
-                match &self.plan_cache {
-                    Some(cache) => cache.insert(key, entry),
-                    None => Arc::new(entry),
-                }
-            }
-        };
-        robustness.determinism = Some(entry.determinism);
         let output = functional::execute_traced(
             graph.graph(),
             &args.op,
@@ -527,17 +469,62 @@ impl Runtime {
         })
     }
 
+    /// The compiled-plan entry [`Runtime::run`] executes for `op` on
+    /// `graph` with operands `feat` columns wide (`scalars`: A and B are
+    /// one-column broadcasts), under `explicit` or, for `None`, the
+    /// auto-tuned schedule. A [`PlanCache`] hit returns the stored entry;
+    /// a miss lints or tunes the schedule, plans and measures it, and
+    /// inserts the entry when a cache is installed. The flag is `true` on a
+    /// hit. Spans carry `trace_id`.
+    ///
+    /// Downgrades are recorded (and the fallback metrics bumped) once, on
+    /// the miss; a hit replays them from the entry.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError`] if the device or the graph is invalid, the
+    /// operator or an explicit schedule is illegal, `feat == 0`, or every
+    /// tuning stage failed.
+    pub fn compiled_plan(
+        &self,
+        graph: &GraphTensor<'_>,
+        op: &OpInfo,
+        explicit: Option<ParallelInfo>,
+        feat: usize,
+        scalars: (bool, bool),
+        trace_id: u64,
+    ) -> Result<(Arc<CachedPlan>, bool), CoreError> {
+        let key = PlanKey {
+            op: *op,
+            explicit,
+            graph_fingerprint: graph.fingerprint(),
+            feat,
+            scalars,
+        };
+        let cache = self.plan_cache.as_ref();
+        if let Some(entry) = cache.and_then(|c| c.get_for(&key, &self.device, self.fidelity)) {
+            return Ok((entry, true));
+        }
+        let entry = self.compile(graph, &key, trace_id)?;
+        let entry = match cache {
+            Some(c) => c.insert(key, entry),
+            None => Arc::new(entry),
+        };
+        Ok((entry, false))
+    }
+
     /// Everything a plan-cache miss derives for `key`: the schedule
-    /// (explicit and linted, or tuned), the plan, its determinism class, and
-    /// its simulated report on this runtime's device and fidelity.
-    /// Downgrades go to `robustness` and are copied into the entry.
+    /// (explicit and linted, or tuned), the plan, its determinism class, its
+    /// downgrades, and its simulated report on this runtime's device and
+    /// fidelity.
     fn compile(
         &self,
         graph: &GraphTensor<'_>,
         key: &PlanKey,
-        robustness: &mut RobustnessReport,
         trace_id: u64,
     ) -> Result<CachedPlan, CoreError> {
+        self.check_context(graph)?;
+        let mut robustness = RobustnessReport::new();
         let PlanKey {
             op,
             explicit,
@@ -561,7 +548,9 @@ impl Runtime {
                 }
                 p
             }
-            None => self.choose_with_fallback(graph, &op, feat, scalars, robustness, trace_id)?,
+            None => {
+                self.choose_with_fallback(graph, &op, feat, scalars, &mut robustness, trace_id)?
+            }
         };
         let plan = KernelPlan::generate(
             op,
@@ -584,7 +573,7 @@ impl Runtime {
             schedule,
             plan,
             determinism,
-            downgrades: robustness.downgrades.clone(),
+            downgrades: robustness.downgrades,
             report,
             device: self.device.clone(),
             fidelity: self.fidelity,

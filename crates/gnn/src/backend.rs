@@ -6,9 +6,6 @@
 //! exactly the variable the paper's end-to-end comparison isolates
 //! (DGL / PyG / GNNAdvisor vs uGrapher, §6–7).
 
-use std::collections::HashMap;
-use std::sync::Mutex;
-
 use ugrapher_core::abstraction::OpInfo;
 use ugrapher_core::api::{GraphTensor, OpArgs, Runtime};
 use ugrapher_core::cache::PlanCache;
@@ -53,18 +50,19 @@ pub trait GraphOpBackend {
     ) -> Result<(Tensor2, SimReport), CoreError>;
 }
 
-/// The uGrapher backend: every operator runs under an adaptively chosen
-/// schedule (predictor if installed, otherwise sampled grid search), cached
-/// per (site, graph shape).
+/// The uGrapher backend: every operator runs under the schedule its
+/// runtime tunes for it (predictor if installed, otherwise sampled grid
+/// search) on this graph.
 ///
-/// Its runtime also carries a [`PlanCache`], so a repeated call with the
-/// same operator, graph version and operand shape (every op site of a
-/// second `run_inference` pass) reuses the compiled plan and its measured
-/// report instead of re-planning and re-simulating; only the functional
-/// execution on the new operands runs again.
+/// The runtime carries a [`PlanCache`], the one memory of a tuned
+/// schedule: its entry for an operator, graph structure and operand shape
+/// holds the schedule, the compiled plan and the measured report. A
+/// repeated call (every op site of a second `run_inference` pass) reuses
+/// them, and only the functional execution on the new operands runs again.
+/// Two graphs of the same size but different degree structure get
+/// separate entries, each tuned for its own graph.
 pub struct UGrapherBackend {
     runtime: Runtime,
-    schedule_cache: Mutex<HashMap<(String, usize, usize, usize), ParallelInfo>>,
 }
 
 impl UGrapherBackend {
@@ -88,12 +86,15 @@ impl UGrapherBackend {
     fn on(runtime: Runtime) -> Self {
         Self {
             runtime: runtime.with_plan_cache(PlanCache::shared(PlanCache::DEFAULT_CAPACITY)),
-            schedule_cache: Mutex::new(HashMap::new()),
         }
     }
 
-    /// The schedule this backend would use for the given call site, tuning
-    /// and caching on first use.
+    /// The schedule [`GraphOpBackend::run_op`] runs `op` under on `graph`
+    /// with operands `feat` columns wide (`scalars`: A and B are
+    /// one-column broadcasts): the plan-cache entry's schedule. A miss
+    /// tunes, plans, measures and caches the entry, so the following
+    /// `run_op` on the same graph and shape is a hit. The schedule depends
+    /// on the graph, not on the call site, so the site is unused.
     ///
     /// # Errors
     ///
@@ -101,33 +102,20 @@ impl UGrapherBackend {
     pub fn schedule_for(
         &self,
         graph: &GraphTensor<'_>,
-        site: &OpSite,
+        _site: &OpSite,
         op: &OpInfo,
         feat: usize,
         scalars: (bool, bool),
     ) -> Result<ParallelInfo, CoreError> {
-        let key = (
-            site.label(),
-            graph.graph().num_vertices(),
-            graph.graph().num_edges(),
+        let (entry, _) = self.runtime.compiled_plan(
+            graph,
+            op,
+            None,
             feat,
-        );
-        if let Some(p) = self
-            .schedule_cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&key)
-        {
-            return Ok(*p);
-        }
-        let chosen = self
-            .runtime
-            .choose_schedule_shaped(graph, op, feat, scalars)?;
-        self.schedule_cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key, chosen);
-        Ok(chosen)
+            scalars,
+            ugrapher_obs::next_trace_id(),
+        )?;
+        Ok(entry.schedule)
     }
 }
 
@@ -143,31 +131,15 @@ impl GraphOpBackend for UGrapherBackend {
     fn run_op(
         &self,
         graph: &Graph,
-        site: &OpSite,
+        _site: &OpSite,
         op: &OpInfo,
         operands: &OpOperands<'_>,
     ) -> Result<(Tensor2, SimReport), CoreError> {
-        let gt = GraphTensor::new(graph);
-        let feat = operands
-            .a
-            .map(|t| t.cols())
-            .into_iter()
-            .chain(operands.b.map(|t| t.cols()))
-            .max()
-            .unwrap_or(1);
-        let scalar = |t: Option<&Tensor2>| t.is_some_and(|t| t.cols() == 1) && feat > 1;
-        let schedule = self.schedule_for(
-            &gt,
-            site,
-            op,
-            feat,
-            (scalar(operands.a), scalar(operands.b)),
-        )?;
         let args = OpArgs {
             op: *op,
             operands: *operands,
         };
-        let res = self.runtime.run(&gt, &args, Some(schedule))?;
+        let res = self.runtime.run(&GraphTensor::new(graph), &args, None)?;
         Ok((res.output, res.report))
     }
 }
@@ -197,14 +169,26 @@ mod tests {
         let stats = backend.runtime.plan_cache().unwrap().stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert_eq!(rep1.bits(), rep2.bits());
-        assert_eq!(
-            backend
-                .schedule_cache
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .len(),
-            1
-        );
+        assert_eq!(stats.entries, 1);
+    }
+
+    #[test]
+    fn schedule_for_fills_the_cache_that_run_op_hits() {
+        let g = uniform_random(150, 700, 1);
+        let x = Tensor2::full(150, 8, 1.0);
+        let backend = UGrapherBackend::quick(DeviceConfig::v100());
+        let site = OpSite::new(ModelKind::Gcn, 1, OpSiteKind::Aggregation);
+        let op = OpInfo::aggregation_sum();
+        let schedule = backend
+            .schedule_for(&GraphTensor::new(&g), &site, &op, 8, (false, false))
+            .unwrap();
+        let args = OpArgs::fused(op, &x);
+        let res = backend
+            .runtime
+            .run(&GraphTensor::new(&g), &args, None)
+            .unwrap();
+        assert!(res.plan_cache_hit);
+        assert_eq!(res.schedule, schedule);
     }
 
     #[test]

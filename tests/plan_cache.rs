@@ -1,17 +1,19 @@
 //! Plan-cache reuse through the public `Runtime` API: a hit returns the
 //! report its entry was measured with, which must equal a fresh simulation
 //! bit for bit, while the output is always computed from the operands the
-//! caller passed; and one cache shared across devices never replays another
-//! device's schedule or report.
+//! caller passed; one cache shared across devices never replays another
+//! device's schedule or report; and a GNN backend tunes each graph, not
+//! each graph size.
 
 use std::sync::Arc;
 
 use ugrapher::core::abstraction::{OpInfo, TensorType};
 use ugrapher::core::api::{GraphTensor, OpArgs, Runtime, UGrapherResult};
 use ugrapher::core::cache::PlanCache;
-use ugrapher::core::exec::{execute, Fidelity};
+use ugrapher::core::exec::{execute, Fidelity, OpOperands};
 use ugrapher::core::schedule::{ParallelInfo, Strategy};
-use ugrapher::graph::generate::{DegreeModel, GraphSpec};
+use ugrapher::gnn::{GraphOpBackend, ModelKind, OpSite, OpSiteKind, UGrapherBackend};
+use ugrapher::graph::generate::{uniform_random, DegreeModel, GraphSpec};
 use ugrapher::graph::Graph;
 use ugrapher::sim::{DeviceConfig, Fault, FaultInjector};
 use ugrapher::tensor::Tensor2;
@@ -247,5 +249,48 @@ fn shared_cache_never_replays_another_devices_work() {
         stats.entries,
         requests.len(),
         "entries are replaced in place"
+    );
+}
+
+/// Two graphs of equal size whose degree structure calls for different
+/// schedules: a shared `UGrapherBackend` runs the second under the schedule
+/// tuned for it, so its report equals a fresh backend's bit for bit.
+#[test]
+fn backend_tunes_each_graph_not_each_graph_size() {
+    const V: usize = 2000;
+    const E: usize = 16_000;
+    const WIDE: usize = 32;
+    let uniform = uniform_random(V, E, 3);
+    // Every edge lands on vertex 0: one hub with all 16000 in-edges.
+    let star = Graph::from_edges(V, (0..E).map(|e| (e % V) as u32).collect(), vec![0; E])
+        .expect("valid star");
+    let x = Tensor2::from_fn(V, WIDE, |r, c| ((r * 7 + c * 3) % 11) as f32 - 5.0);
+    let site = OpSite::new(ModelKind::Gcn, 1, OpSiteKind::Aggregation);
+    let op = OpInfo::aggregation_sum();
+    let run = |backend: &UGrapherBackend, g: &Graph| {
+        backend
+            .run_op(g, &site, &op, &OpOperands::single(&x))
+            .expect("valid aggregation")
+    };
+    let tuned = |g: &Graph| {
+        UGrapherBackend::quick(DeviceConfig::v100())
+            .schedule_for(&GraphTensor::new(g), &site, &op, WIDE, (false, false))
+            .expect("valid aggregation")
+    };
+    assert_ne!(
+        tuned(&uniform),
+        tuned(&star),
+        "the two graphs must call for different schedules"
+    );
+
+    let (want_output, want_report) = run(&UGrapherBackend::quick(DeviceConfig::v100()), &star);
+    let shared = UGrapherBackend::quick(DeviceConfig::v100());
+    run(&shared, &uniform);
+    let (output, report) = run(&shared, &star);
+    assert_eq!(report.bits(), want_report.bits(), "star report");
+    assert_eq!(
+        output_bits(&output),
+        output_bits(&want_output),
+        "star output"
     );
 }
