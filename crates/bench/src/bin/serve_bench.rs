@@ -251,7 +251,7 @@ fn main() {
     ]);
     let path = results_dir().join("BENCH_serving.json");
     std::fs::write(&path, json.to_string_compact()).expect("can write BENCH_serving.json");
-    println!("[saved {}]", path.display());
+    println!("[saved results/BENCH_serving.json]");
 
     assert!(
         hit_rate >= 0.90,

@@ -1,6 +1,8 @@
 //! Simulator throughput benchmark: host time of `exec::measure` over the
 //! golden matrix of `crates/core/tests/sim_golden.rs`, plus one
-//! 196-candidate `grid_search_budgeted` on a 240-vertex graph.
+//! 196-candidate `grid_search_budgeted` on a 240-vertex graph, with the
+//! number of distinct kernels it simulated (`measured`: 168 at feat 32,
+//! where tiling 64 clamps to tiling 32's kernel).
 //!
 //! Usage: `sim_bench [--smoke] [--slot <name>]`. A run replaces one slot of
 //! `results/BENCH_sim.json` and keeps the others, so the file holds
@@ -28,6 +30,7 @@ use ugrapher_core::schedule::{ParallelInfo, Strategy};
 use ugrapher_core::tune::{grid_search_budgeted, TuneBudget};
 use ugrapher_graph::generate::{DegreeModel, GraphSpec};
 use ugrapher_graph::Graph;
+use ugrapher_obs::{metrics, MetricsRegistry};
 use ugrapher_sim::DeviceConfig;
 use ugrapher_util::json::Value;
 
@@ -101,7 +104,9 @@ fn time_cell(g: &Graph, p: ParallelInfo, options: &[MeasureOptions]) -> f64 {
     t0.elapsed().as_secs_f64() * 1e6 / (options.len() * plans.len()) as f64
 }
 
-fn grid_search_ms(reps: usize) -> (Graph, f64) {
+/// The grid-search graph, its median host ms, and the kernels one search
+/// simulated (read off the `TUNING_EVALUATIONS` counter).
+fn grid_search_ms(reps: usize) -> (Graph, f64, u64) {
     let g = spec(240, 1440, DegreeModel::TargetStd { std: 3.0 }, 0.5, 240);
     let space = ParallelInfo::space();
     assert_eq!(space.len(), 196);
@@ -122,9 +127,12 @@ fn grid_search_ms(reps: usize) -> (Graph, f64) {
         assert_eq!(r.all.len() + r.illegal, 196);
         t0.elapsed().as_secs_f64() * 1e3
     };
+    let evaluations = || MetricsRegistry::global().counter(metrics::TUNING_EVALUATIONS);
+    let before = evaluations();
     run();
+    let measured = evaluations() - before;
     let ms = median((0..reps).map(|_| run()).collect());
-    (g, ms)
+    (g, ms, measured)
 }
 
 fn main() {
@@ -171,7 +179,7 @@ fn main() {
         }
     }
     let mean_us = total_us / cells.len() as f64;
-    let (grid_graph, grid_ms) = grid_search_ms(grid_reps);
+    let (grid_graph, grid_ms, grid_measured) = grid_search_ms(grid_reps);
 
     print_table(
         &format!("exec::measure host time ({slot})"),
@@ -180,7 +188,7 @@ fn main() {
     );
     println!("mean over cells: {mean_us:.1} us/measure");
     println!(
-        "grid_search_budgeted, 196 candidates, |V|={} |E|={}: {grid_ms:.1} ms",
+        "grid_search_budgeted, 196 candidates ({grid_measured} kernels measured), |V|={} |E|={}: {grid_ms:.1} ms",
         grid_graph.num_vertices(),
         grid_graph.num_edges()
     );
@@ -196,6 +204,7 @@ fn main() {
             "grid_search",
             Value::obj(vec![
                 ("candidates", Value::Num(196.0)),
+                ("measured", Value::Num(grid_measured as f64)),
                 ("vertices", Value::Num(grid_graph.num_vertices() as f64)),
                 ("edges", Value::Num(grid_graph.num_edges() as f64)),
                 ("ms", Value::Num(grid_ms)),

@@ -237,7 +237,9 @@ impl Runtime {
 
     /// The schedule-selection fallback chain: predictor → budgeted grid
     /// search → thread-vertex default. Each downgrade is recorded in
-    /// `report`.
+    /// `report`. When grid search picked the schedule, its winning
+    /// [`SimReport`] (measured at [`Fidelity::Auto`] on this device) comes
+    /// along.
     ///
     /// Caller-input errors (invalid operator, unusable device) propagate;
     /// tuning-stage failures degrade to the next stage instead.
@@ -249,14 +251,14 @@ impl Runtime {
         scalars: (bool, bool),
         report: &mut RobustnessReport,
         trace_id: u64,
-    ) -> Result<ParallelInfo, CoreError> {
+    ) -> Result<(ParallelInfo, Option<SimReport>), CoreError> {
         let mut span = self
             .recorder
             .span_traced("tune.choose", SpanKind::Tune, trace_id);
         let result = self.choose_with_fallback_inner(graph, op, feat, scalars, report, trace_id);
         if span.is_enabled() {
             span.attr("op", op.label()).attr("feat", feat);
-            if let Ok(s) = &result {
+            if let Ok((s, _)) = &result {
                 span.attr("schedule", s.label());
             }
             span.attr("downgrades", report.downgrades.len());
@@ -272,11 +274,11 @@ impl Runtime {
         scalars: (bool, bool),
         report: &mut RobustnessReport,
         trace_id: u64,
-    ) -> Result<ParallelInfo, CoreError> {
+    ) -> Result<(ParallelInfo, Option<SimReport>), CoreError> {
         op.validate()?;
         if let Some(p) = &self.predictor {
             match p.choose_traced(graph.stats(), op, feat, &self.recorder, trace_id) {
-                Ok(s) => return Ok(s),
+                Ok(s) => return Ok((s, None)),
                 Err(e @ CoreError::InvalidOperator { .. }) => return Err(e),
                 // A predictor that scores non-finitely or emits an illegal
                 // schedule is a degraded model, not a caller error.
@@ -326,14 +328,14 @@ impl Runtime {
                         ),
                     );
                 }
-                Ok(res.best)
+                Ok((res.best, Some(res.best_report)))
             }
             Err(e @ (CoreError::InvalidOperator { .. } | CoreError::DeviceInvalid { .. })) => {
                 Err(e)
             }
             Err(e) => {
                 report.record("grid-search", "thread-vertex default", e.to_string());
-                ParallelInfo::basic(Strategy::ThreadVertex).validated()
+                Ok((ParallelInfo::basic(Strategy::ThreadVertex), None))
             }
         }
     }
@@ -376,10 +378,7 @@ impl Runtime {
         parallel: Option<ParallelInfo>,
         trace_id: u64,
     ) -> Result<UGrapherResult, CoreError> {
-        catch_unwind(AssertUnwindSafe(|| {
-            self.run_inner(graph, args, parallel, trace_id)
-        }))
-        .unwrap_or_else(|payload| Err(CoreError::from_panic(payload)))
+        shielded(|| self.run_inner(graph, args, parallel, trace_id))
     }
 
     fn run_inner(
@@ -446,7 +445,7 @@ impl Runtime {
         // both paths of the cache step; a hit replays everything else from
         // the entry.
         let (entry, plan_cache_hit) =
-            self.compiled_plan(graph, &args.op, parallel, feat, scalars, trace_id)?;
+            self.lookup_or_compile(graph, &args.op, parallel, feat, scalars, trace_id)?;
         let robustness = RobustnessReport {
             downgrades: entry.downgrades.clone(),
             trace_id,
@@ -478,14 +477,27 @@ impl Runtime {
     /// hit. Spans carry `trace_id`.
     ///
     /// Downgrades are recorded (and the fallback metrics bumped) once, on
-    /// the miss; a hit replays them from the entry.
+    /// the miss; a hit replays them from the entry. Shielded against
+    /// internal panics like [`Runtime::run`].
     ///
     /// # Errors
     ///
     /// Returns [`CoreError`] if the device or the graph is invalid, the
-    /// operator or an explicit schedule is illegal, `feat == 0`, or every
-    /// tuning stage failed.
+    /// operator or an explicit schedule is illegal, `feat == 0`, every
+    /// tuning stage failed, or an internal panic was caught.
     pub fn compiled_plan(
+        &self,
+        graph: &GraphTensor<'_>,
+        op: &OpInfo,
+        explicit: Option<ParallelInfo>,
+        feat: usize,
+        scalars: (bool, bool),
+        trace_id: u64,
+    ) -> Result<(Arc<CachedPlan>, bool), CoreError> {
+        shielded(|| self.lookup_or_compile(graph, op, explicit, feat, scalars, trace_id))
+    }
+
+    fn lookup_or_compile(
         &self,
         graph: &GraphTensor<'_>,
         op: &OpInfo,
@@ -516,7 +528,9 @@ impl Runtime {
     /// Everything a plan-cache miss derives for `key`: the schedule
     /// (explicit and linted, or tuned), the plan, its determinism class, its
     /// downgrades, and its simulated report on this runtime's device and
-    /// fidelity.
+    /// fidelity. Grid search measures at [`Fidelity::Auto`], so under that
+    /// fidelity (the default) its winner's report is this report and the
+    /// chosen plan is not simulated again.
     fn compile(
         &self,
         graph: &GraphTensor<'_>,
@@ -532,7 +546,7 @@ impl Runtime {
             scalars,
             ..
         } = *key;
-        let schedule = match explicit {
+        let (schedule, tuned_report) = match explicit {
             Some(p) => {
                 let p = p.validated()?;
                 // Explicit schedules are honoured as given, but degenerate
@@ -546,7 +560,7 @@ impl Runtime {
                 ) {
                     robustness.record("schedule-lint", "executed as requested", lint.to_string());
                 }
-                p
+                (p, None)
             }
             None => {
                 self.choose_with_fallback(graph, &op, feat, scalars, &mut robustness, trace_id)?
@@ -561,14 +575,17 @@ impl Runtime {
         )?
         .with_scalar_operands(scalars.0, scalars.1);
         let determinism = crate::ir::classify_determinism(&crate::lower::lower(&plan)?);
-        let report = measure(
-            graph.graph(),
-            &plan,
-            &MeasureOptions::new(self.device.clone())
-                .with_fidelity(self.fidelity)
-                .with_recorder(self.recorder.clone())
-                .with_trace_id(trace_id),
-        );
+        let report = match tuned_report {
+            Some(report) if self.fidelity == Fidelity::Auto => report,
+            _ => measure(
+                graph.graph(),
+                &plan,
+                &MeasureOptions::new(self.device.clone())
+                    .with_fidelity(self.fidelity)
+                    .with_recorder(self.recorder.clone())
+                    .with_trace_id(trace_id),
+            ),
+        };
         Ok(CachedPlan {
             schedule,
             plan,
@@ -595,10 +612,7 @@ impl Runtime {
         feat: usize,
         parallel: ParallelInfo,
     ) -> Result<SimReport, CoreError> {
-        catch_unwind(AssertUnwindSafe(|| {
-            self.measure_only_inner(graph, op, feat, parallel)
-        }))
-        .unwrap_or_else(|payload| Err(CoreError::from_panic(payload)))
+        shielded(|| self.measure_only_inner(graph, op, feat, parallel))
     }
 
     fn measure_only_inner(
@@ -631,6 +645,13 @@ impl Runtime {
         }
         Ok(report)
     }
+}
+
+/// Runs `f`, turning a panic into [`CoreError::Internal`]: the shield
+/// around every public [`Runtime`] entry point that tunes, plans or
+/// measures.
+fn shielded<T>(f: impl FnOnce() -> Result<T, CoreError>) -> Result<T, CoreError> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| Err(CoreError::from_panic(payload)))
 }
 
 /// The paper's three-argument entry point (Fig. 9), on a default V100
@@ -675,6 +696,22 @@ mod tests {
     use super::*;
     use crate::schedule::Strategy;
     use ugrapher_graph::generate::uniform_random;
+
+    #[test]
+    fn shield_turns_a_panic_into_an_internal_error() {
+        let err = shielded(|| -> Result<(), CoreError> { panic!("tuner bug") }).unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::Internal {
+                reason: "tuner bug".into()
+            }
+        );
+        assert_eq!(shielded(|| Ok::<_, CoreError>(7)), Ok(7));
+        let typed = CoreError::TuningFailed {
+            reason: "no legal candidate".into(),
+        };
+        assert_eq!(shielded(|| Err::<(), _>(typed.clone())), Err(typed));
+    }
 
     #[test]
     fn run_with_explicit_schedule() {

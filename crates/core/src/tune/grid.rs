@@ -1,11 +1,13 @@
 //! Exhaustive schedule search, optionally under a tuning budget.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use ugrapher_graph::Graph;
 use ugrapher_obs::{metrics, MetricsRegistry, SpanKind};
+use ugrapher_sim::SimReport;
 
 use crate::abstraction::OpInfo;
 use crate::exec::{measure, MeasureOptions};
@@ -28,7 +30,7 @@ pub struct TuneBudget {
     /// Stop starting new measurements once this much wall-clock time has
     /// elapsed.
     pub wall_clock: Option<Duration>,
-    /// Measure at most this many candidate schedules.
+    /// Search at most this many candidate schedules: a prefix of the list.
     pub max_candidates: Option<usize>,
 }
 
@@ -64,14 +66,20 @@ impl TuneBudget {
 /// Outcome of a grid search.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TuneResult {
-    /// The fastest schedule found.
+    /// The fastest schedule found (the first in list order on a tie).
     pub best: ParallelInfo,
     /// Its simulated time in milliseconds.
     pub best_time_ms: f64,
-    /// Every `(schedule, time_ms)` pair measured, in search order.
+    /// The winner's full simulated report, measured under the search's
+    /// [`MeasureOptions`]; [`crate::api::Runtime`] reuses it instead of
+    /// simulating the chosen plan again.
+    pub best_report: SimReport,
+    /// Every `(schedule, time_ms)` pair the search covered, in list order.
+    /// A candidate that compiles to the same kernel as an earlier one (see
+    /// [`grid_search_budgeted`]) carries that kernel's time.
     pub all: Vec<(ParallelInfo, f64)>,
     /// `true` if a [`TuneBudget`] stopped the search before every
-    /// candidate was measured; `best` is then best-so-far, not the proven
+    /// candidate was covered; `best` is then best-so-far, not the proven
     /// optimum. Candidates whose plan generation failed do **not** count
     /// as exhaustion — they are tallied in [`TuneResult::illegal`] — so
     /// this flag is `true` exactly when the wall-clock deadline tripped or
@@ -92,7 +100,8 @@ impl TuneResult {
             .map(|(_, t)| *t)
     }
 
-    /// Number of candidates actually measured.
+    /// Number of candidates the search covered (with a time in
+    /// [`TuneResult::all`]).
     pub fn evaluated(&self) -> usize {
         self.all.len()
     }
@@ -161,9 +170,18 @@ pub fn grid_search_shaped(
 /// new measurements once the budget is exhausted and returns the best
 /// schedule among those measured so far.
 ///
-/// With only `max_candidates` set, the measured prefix is deterministic
+/// With only `max_candidates` set, the covered prefix is deterministic
 /// (the first N candidates in list order); a wall-clock limit makes the
 /// cut-off point timing-dependent by nature.
+///
+/// Each distinct kernel is simulated once: candidates whose plans differ
+/// only in a tiling knob clamped to the same tile size are twins, and the
+/// first of them in list order is measured for all (one `tune.candidate`
+/// span and one `TUNING_EVALUATIONS` count per measured kernel). The
+/// result — `all`, `best`, the first-minimum tie-break, `illegal` and
+/// `budget_exhausted` — is what measuring every candidate would give. A
+/// deadline stops new *measurements*; the search then covers the
+/// candidates before the first unmeasured kernel.
 ///
 /// # Errors
 ///
@@ -207,26 +225,44 @@ pub fn grid_search_budgeted(
         .min(candidates.len());
     let deadline = budget.wall_clock.map(|d| Instant::now() + d);
 
+    // Every candidate in the prefix is planned up front (microseconds);
+    // only the first plan of each distinct kernel is measured.
+    let plans: Vec<Result<KernelPlan, CoreError>> = candidates[..limit]
+        .iter()
+        .map(|&p| {
+            KernelPlan::generate(*op, p, graph.num_vertices(), graph.num_edges(), feat)
+                .map(|plan| plan.with_scalar_operands(scalars.0, scalars.1))
+        })
+        .collect();
+    let first = first_of_kernel(plans.iter().map(|p| p.as_ref().ok()));
+    let kernels: Vec<(usize, &KernelPlan)> = plans
+        .iter()
+        .enumerate()
+        .filter_map(|(i, plan)| {
+            plan.as_ref()
+                .ok()
+                .filter(|_| first[i] == Some(i))
+                .map(|p| (i, p))
+        })
+        .collect();
+
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
-        .min(limit.max(1));
-    // Workers claim candidate indices from a shared counter; a budget trip
+        .min(kernels.len().max(1));
+    // Workers claim kernels in list order from a shared counter, so the
+    // measured kernels are always a prefix of `kernels`; a deadline trip
     // sets the stop flag so in-flight measurements finish but no new ones
     // start.
     let next = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
-    // Set only when the wall-clock deadline fires; distinguishes a genuine
-    // budget trip from candidates lost to plan-generation errors.
     let deadline_tripped = AtomicBool::new(false);
-    let illegal = AtomicUsize::new(0);
-    let measured: Mutex<Vec<(usize, ParallelInfo, f64)>> = Mutex::new(Vec::new());
-    let first_error: Mutex<Option<CoreError>> = Mutex::new(None);
+    let measured: Mutex<Vec<(usize, SimReport)>> = Mutex::new(Vec::new());
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
-                let mut local: Vec<(usize, ParallelInfo, f64)> = Vec::new();
+                let mut local: Vec<(usize, SimReport)> = Vec::new();
                 loop {
                     if stop.load(Ordering::Relaxed) {
                         break;
@@ -238,41 +274,24 @@ pub fn grid_search_budgeted(
                             break;
                         }
                     }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= limit {
+                    let k = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(&(i, plan)) = kernels.get(k) else {
                         break;
+                    };
+                    let mut span = options.recorder.span_traced(
+                        "tune.candidate",
+                        SpanKind::Tune,
+                        options.trace_id,
+                    );
+                    let report = measure(graph, plan, options);
+                    if span.is_enabled() {
+                        span.attr("schedule", candidates[i].label())
+                            .attr("candidate_index", i)
+                            .attr("measured_time_ms", report.time_ms);
                     }
-                    let p = candidates[i];
-                    match KernelPlan::generate(
-                        *op,
-                        p,
-                        graph.num_vertices(),
-                        graph.num_edges(),
-                        feat,
-                    ) {
-                        Ok(plan) => {
-                            let plan = plan.with_scalar_operands(scalars.0, scalars.1);
-                            let mut span = options.recorder.span_traced(
-                                "tune.candidate",
-                                SpanKind::Tune,
-                                options.trace_id,
-                            );
-                            let time_ms = measure(graph, &plan, options).time_ms;
-                            if span.is_enabled() {
-                                span.attr("schedule", p.label())
-                                    .attr("candidate_index", i)
-                                    .attr("measured_time_ms", time_ms);
-                            }
-                            drop(span);
-                            MetricsRegistry::global().inc(metrics::TUNING_EVALUATIONS);
-                            local.push((i, p, time_ms));
-                        }
-                        Err(e) => {
-                            illegal.fetch_add(1, Ordering::Relaxed);
-                            let mut slot = first_error.lock().unwrap_or_else(|e| e.into_inner());
-                            slot.get_or_insert(e);
-                        }
-                    }
+                    drop(span);
+                    MetricsRegistry::global().inc(metrics::TUNING_EVALUATIONS);
+                    local.push((k, report));
                 }
                 measured
                     .lock()
@@ -282,40 +301,99 @@ pub fn grid_search_budgeted(
         }
     });
 
-    let mut rows = measured.into_inner().unwrap_or_else(|e| e.into_inner());
-    rows.sort_by_key(|(i, _, _)| *i);
+    let mut reports: Vec<Option<SimReport>> = vec![None; limit];
+    for (k, report) in measured.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        reports[kernels[k].0] = Some(report);
+    }
+    // The search covers the candidates before the first unmeasured kernel:
+    // the same prefix a search measuring every candidate would have
+    // reported had the deadline stopped it there.
+    let covered = kernels
+        .iter()
+        .map(|&(i, _)| i)
+        .find(|&i| reports[i].is_none())
+        .unwrap_or(limit);
+
     // Exhaustion means the *budget* cut the search short: the wall-clock
     // deadline fired, or `max_candidates` excluded part of the candidate
     // list. Candidates lost to plan-generation errors are counted in
     // `illegal` instead (reporting them as exhaustion would make an
     // unbudgeted search with one broken candidate look budget-limited).
     let deadline_tripped = deadline_tripped.load(Ordering::Relaxed);
-    let illegal = illegal.load(Ordering::Relaxed);
     let budget_exhausted = deadline_tripped || limit < candidates.len();
-    let all: Vec<(ParallelInfo, f64)> = rows.into_iter().map(|(_, p, t)| (p, t)).collect();
-
-    if all.is_empty() {
-        let pending = first_error.into_inner().unwrap_or_else(|e| e.into_inner());
+    let mut illegal = 0;
+    let mut pending = None;
+    let mut all = Vec::with_capacity(covered);
+    let mut best: Option<(ParallelInfo, f64, usize)> = None;
+    for (i, plan) in plans.into_iter().enumerate().take(covered) {
+        if let Err(e) = plan {
+            illegal += 1;
+            pending.get_or_insert(e);
+            continue;
+        }
+        let kernel = first[i].expect("a generated plan has a kernel");
+        let time_ms = reports[kernel]
+            .as_ref()
+            .expect("covered kernels are measured")
+            .time_ms;
+        all.push((candidates[i], time_ms));
+        // Strictly less, so the first minimum in list order wins.
+        if best.is_none_or(|(_, t, _)| time_ms.total_cmp(&t).is_lt()) {
+            best = Some((candidates[i], time_ms, kernel));
+        }
+    }
+    let Some((best, best_time_ms, kernel)) = best else {
         return Err(empty_search_error(
             deadline_tripped,
             pending,
             &budget,
             candidates.len(),
         ));
-    }
-
-    let (best, best_time_ms) = all
-        .iter()
-        .cloned()
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .expect("all is non-empty");
+    };
     Ok(TuneResult {
         best,
         best_time_ms,
+        best_report: reports[kernel]
+            .take()
+            .expect("the winner's kernel is measured"),
         all,
         budget_exhausted,
         illegal,
     })
+}
+
+/// For each plan, the index of the first plan in the list that compiles to
+/// the same kernel (its own index for the first of its kind), or `None`
+/// for a candidate whose plan failed to generate.
+///
+/// Two plans are the same kernel when they agree on everything but the
+/// tiling knob: operator, feature width, scalar flags, strategy, grouping
+/// and the *effective* tile size. `KernelPlan::generate` clamps tiling to
+/// the feature width, so at feat 32 a `T64` candidate is its `T32`
+/// sibling's twin, with the same trace and a bit-identical [`SimReport`];
+/// a search measures the first of each kind and gives its twins that time.
+pub(crate) fn first_of_kernel<'a>(
+    plans: impl IntoIterator<Item = Option<&'a KernelPlan>>,
+) -> Vec<Option<usize>> {
+    let mut seen = HashMap::new();
+    plans
+        .into_iter()
+        .enumerate()
+        .map(|(i, plan)| {
+            plan.map(|p| {
+                let key = (
+                    p.op,
+                    p.feat,
+                    p.a_scalar,
+                    p.b_scalar,
+                    p.parallel.strategy,
+                    p.parallel.grouping,
+                    p.tile_size,
+                );
+                *seen.entry(key).or_insert(i)
+            })
+        })
+        .collect()
 }
 
 /// The error for a search that measured nothing, picking the verdict that
@@ -623,6 +701,185 @@ mod tests {
             empty_search_error(false, None, &TuneBudget::max_candidates(0), 10),
             CoreError::BudgetExceeded { .. }
         ));
+    }
+
+    /// Reports for every candidate, each generated and measured on its own:
+    /// the measure-everything search the deduplicated one must match.
+    fn measure_each(
+        g: &Graph,
+        op: &OpInfo,
+        feat: usize,
+        scalars: (bool, bool),
+        candidates: &[ParallelInfo],
+    ) -> Vec<Result<SimReport, CoreError>> {
+        candidates
+            .iter()
+            .map(|&p| {
+                let plan = KernelPlan::generate(*op, p, g.num_vertices(), g.num_edges(), feat)?
+                    .with_scalar_operands(scalars.0, scalars.1);
+                Ok(measure(g, &plan, &options()))
+            })
+            .collect()
+    }
+
+    /// What a search measuring every candidate returns for the first
+    /// `limit` candidates, given their reports.
+    fn measured_everything(
+        reports: &[Result<SimReport, CoreError>],
+        candidates: &[ParallelInfo],
+        limit: usize,
+    ) -> Result<TuneResult, CoreError> {
+        let mut illegal = 0;
+        let mut pending = None;
+        let mut rows = Vec::new();
+        for (p, r) in candidates.iter().zip(reports).take(limit) {
+            match r {
+                Ok(r) => rows.push((*p, r)),
+                Err(e) => {
+                    illegal += 1;
+                    pending.get_or_insert(e.clone());
+                }
+            }
+        }
+        let budget = TuneBudget::max_candidates(limit);
+        let Some(&(best, report)) = rows
+            .iter()
+            .min_by(|a, b| a.1.time_ms.total_cmp(&b.1.time_ms))
+        else {
+            return Err(empty_search_error(
+                false,
+                pending,
+                &budget,
+                candidates.len(),
+            ));
+        };
+        Ok(TuneResult {
+            best,
+            best_time_ms: report.time_ms,
+            best_report: report.clone(),
+            all: rows.iter().map(|(p, r)| (*p, r.time_ms)).collect(),
+            budget_exhausted: limit < candidates.len(),
+            illegal,
+        })
+    }
+
+    fn shuffled(mut list: Vec<ParallelInfo>, seed: u64) -> Vec<ParallelInfo> {
+        let mut rng = ugrapher_util::rng::StdRng::seed_from_u64(seed);
+        for i in (1..list.len()).rev() {
+            list.swap(i, rng.random_range(0..=i));
+        }
+        list
+    }
+
+    #[test]
+    fn deduplicated_search_equals_measuring_every_candidate() {
+        let graphs = [
+            uniform_random(60, 300, 41),
+            ugrapher_graph::generate::GraphSpec {
+                num_vertices: 90,
+                num_edges: 540,
+                degree_model: ugrapher_graph::generate::DegreeModel::PowerLaw { alpha: 2.0 },
+                locality: 0.3,
+                seed: 42,
+            }
+            .build(),
+        ];
+        let bad = ParallelInfo {
+            strategy: Strategy::WarpEdge,
+            grouping: 4,
+            tiling: 0,
+        };
+        let op = OpInfo::weighted_aggregation_sum();
+        for (gi, g) in graphs.iter().enumerate() {
+            for feat in [1, 8, 12, 16, 32, 64] {
+                for (order, seed) in [("space", None), ("shuffled", Some(feat as u64))] {
+                    let mut candidates = ParallelInfo::space();
+                    candidates.insert(5, bad);
+                    if let Some(seed) = seed {
+                        candidates = shuffled(candidates, seed + gi as u64);
+                    }
+                    let scalars = (false, feat % 2 == 0);
+                    let reports = measure_each(g, &op, feat, scalars, &candidates);
+                    for limit in [None, Some(1), Some(40), Some(150)] {
+                        let what = format!("graph {gi} feat {feat} {order} limit {limit:?}");
+                        let budget = TuneBudget {
+                            wall_clock: None,
+                            max_candidates: limit,
+                        };
+                        let got = grid_search_budgeted(
+                            g,
+                            &op,
+                            feat,
+                            scalars,
+                            &options(),
+                            &candidates,
+                            budget,
+                        );
+                        let want = measured_everything(
+                            &reports,
+                            &candidates,
+                            limit.unwrap_or(candidates.len()),
+                        );
+                        assert_eq!(got, want, "{what}");
+                    }
+                    let zero = grid_search_budgeted(
+                        g,
+                        &op,
+                        feat,
+                        scalars,
+                        &options(),
+                        &candidates,
+                        TuneBudget::wall_clock(Duration::ZERO),
+                    )
+                    .unwrap_err();
+                    assert!(matches!(zero, CoreError::BudgetExceeded { .. }), "{zero:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn twins_measure_once_and_share_the_kernel() {
+        // At feat 32 the tiling knob 64 clamps to 32 tiles: 28 of the 196
+        // candidates are twins, so 168 kernels are measured.
+        let g = uniform_random(120, 600, 43);
+        let space = ParallelInfo::space();
+        let plans: Vec<KernelPlan> = space
+            .iter()
+            .map(|&p| KernelPlan::generate(OpInfo::aggregation_sum(), p, 120, 600, 32).unwrap())
+            .collect();
+        let first = first_of_kernel(plans.iter().map(Some));
+        let twins: Vec<usize> = (0..space.len()).filter(|&i| first[i] != Some(i)).collect();
+        assert_eq!(twins.len(), 28);
+        for &i in &twins {
+            let f = first[i].unwrap();
+            assert_eq!(space[i].tiling, 64);
+            assert_eq!(space[f].tiling, 32);
+            // A twin is its first plan with another tiling knob.
+            let mut plan = plans[i].clone();
+            plan.parallel.tiling = plans[f].parallel.tiling;
+            assert_eq!(plan, plans[f]);
+        }
+        let mut builder = ugrapher_obs::Recorder::builder();
+        let ring = builder.ring(1024);
+        let rec = builder.build();
+        let res = grid_search(
+            &g,
+            &OpInfo::aggregation_sum(),
+            32,
+            &options().with_recorder(rec),
+        )
+        .unwrap();
+        assert_eq!(res.evaluated(), 196);
+        let spans = ring.snapshot();
+        assert_eq!(
+            spans.iter().filter(|s| s.name == "tune.candidate").count(),
+            168
+        );
+        assert_eq!(spans.iter().filter(|s| s.name == "sim.kernel").count(), 168);
+        for &i in &twins {
+            assert_eq!(res.all[i].1, res.all[first[i].unwrap()].1);
+        }
     }
 
     #[test]

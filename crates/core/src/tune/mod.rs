@@ -3,8 +3,8 @@
 //! Two ways to pick a schedule for an `(operator, graph)` pair:
 //!
 //! * [`grid_search`] — measure every point of the
-//!   [`crate::schedule::ParallelInfo::space`] on the simulator and keep the
-//!   fastest (the paper's ground truth, "days of time" on real hardware,
+//!   [`crate::schedule::ParallelInfo::space`] on the simulator (each
+//!   distinct kernel once) and keep the fastest (the paper's ground truth, "days of time" on real hardware,
 //!   affordable here thanks to sampled tracing);
 //! * [`Predictor`] — a GBDT trained on randomly generated graphs that maps
 //!   (graph features, operator info, schedule) to predicted log-time and

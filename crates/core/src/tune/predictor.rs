@@ -14,6 +14,7 @@ use crate::abstraction::OpInfo;
 use crate::exec::{measure, MeasureOptions};
 use crate::plan::KernelPlan;
 use crate::schedule::ParallelInfo;
+use crate::tune::grid::first_of_kernel;
 use crate::CoreError;
 
 /// Configuration of predictor training.
@@ -331,11 +332,23 @@ fn measure_context(
     rows: &mut Vec<Vec<f64>>,
     targets: &mut Vec<f64>,
 ) {
-    for &schedule in &config.schedules {
-        let plan =
-            KernelPlan::generate(*op, schedule, graph.num_vertices(), graph.num_edges(), feat)
-                .expect("training ops are valid");
-        let time = measure(graph, &plan, options).time_ms;
+    let plans: Vec<KernelPlan> = config
+        .schedules
+        .iter()
+        .map(|&s| {
+            KernelPlan::generate(*op, s, graph.num_vertices(), graph.num_edges(), feat)
+                .expect("training ops are valid")
+        })
+        .collect();
+    // Twins (tiling knobs clamped to the same tile) are measured once.
+    let first = first_of_kernel(plans.iter().map(Some));
+    let mut times: Vec<f64> = Vec::with_capacity(plans.len());
+    for (i, (plan, &schedule)) in plans.iter().zip(&config.schedules).enumerate() {
+        let time = match first[i] {
+            Some(kernel) if kernel < i => times[kernel],
+            _ => measure(graph, plan, options).time_ms,
+        };
+        times.push(time);
         rows.push(crate::tune::features::feature_vector_masked(
             stats,
             op,

@@ -294,3 +294,47 @@ fn backend_tunes_each_graph_not_each_graph_size() {
         "star output"
     );
 }
+
+/// An auto-tuned miss reports what simulating its chosen schedule afresh
+/// reports. Under `Fidelity::Auto`, the tuner's fidelity, the miss reuses
+/// grid search's report of the winner; under `Full` it measures again, and
+/// the chosen kernel is large enough that the two fidelities differ.
+#[test]
+fn tuned_miss_reports_a_fresh_simulation_of_its_schedule() {
+    let g = uniform_random(4000, 16000, 5);
+    let gt = GraphTensor::new(&g);
+    let x = Tensor2::full(g.num_vertices(), 32, 1.0);
+    let args = OpArgs::fused(OpInfo::aggregation_sum(), &x);
+    // Two pairs of twins at feat 32: T64 clamps to T32's kernel.
+    let space = vec![
+        ParallelInfo::new(Strategy::WarpVertex, 1, 64),
+        ParallelInfo::new(Strategy::WarpVertex, 1, 32),
+        ParallelInfo::new(Strategy::WarpEdge, 2, 64),
+        ParallelInfo::new(Strategy::WarpEdge, 2, 32),
+    ];
+    let mut reports = Vec::new();
+    for fidelity in [Fidelity::Auto, Fidelity::Full] {
+        let rt = Runtime::new(DeviceConfig::v100()).with_fidelity(fidelity);
+        let tuned = rt
+            .clone()
+            .with_search_space(space.clone())
+            .run(&gt, &args, None)
+            .expect("tuned run");
+        assert_eq!(
+            tuned.schedule.tiling, 64,
+            "the first of two twins wins a tie"
+        );
+        let fresh = rt.run(&gt, &args, Some(tuned.schedule)).expect("fresh run");
+        assert_eq!(
+            tuned.report.bits(),
+            fresh.report.bits(),
+            "{fidelity:?}: tuned report"
+        );
+        reports.push(tuned.report);
+    }
+    assert_ne!(
+        reports[0].bits(),
+        reports[1].bits(),
+        "Auto and Full must differ here for the Full case to show a fresh measurement"
+    );
+}
