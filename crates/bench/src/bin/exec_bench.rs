@@ -2,7 +2,10 @@
 //! `exec::execute` for the serve workload's three operators plus max
 //! aggregation, and of request admission (`GraphTensor::new` plus two
 //! `Tensor2::validate_finite` calls), on three graph sizes at feature
-//! width 32.
+//! width 32. Admission is timed twice: `first_admit_us` wraps a graph
+//! whose admission memo is still empty (a never-admitted clone per call),
+//! `admit_us` wraps the same graph again and again, as repeat requests and
+//! op sites do.
 //!
 //! Usage: `exec_bench [--smoke] [--slot <name>]`. A run replaces one slot
 //! of `results/BENCH_exec.json` and keeps the others, so the file holds
@@ -12,10 +15,12 @@
 //! checks for shape only (no wall-clock threshold).
 //!
 //! Each figure is the median over repetitions of the mean host µs per
-//! call; a repetition repeats the call until it has run for a fixed time,
-//! after one untimed warm-up call. Admission is also split into its parts
-//! (fingerprint, structural validation, degree statistics, one finite
-//! check) so the cost of each check is on record.
+//! call, stored with the lower and upper quartile over repetitions
+//! (`<figure>_q1`, `<figure>_q3`); a repetition repeats the call until it
+//! has run for a fixed time, after one untimed warm-up call. Admission is
+//! also split into its un-memoised parts (fingerprint, structural
+//! validation, degree statistics, one finite check) so the cost of each
+//! check is on record.
 
 // Benchmark driver: exiting on a broken invariant is the right behaviour.
 #![allow(clippy::unwrap_used)]
@@ -23,7 +28,7 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use ugrapher_bench::{median, print_table, save_slot};
+use ugrapher_bench::{mean_quartiles, print_table, quartiles, save_slot, with_quartiles};
 use ugrapher_core::abstraction::OpInfo;
 use ugrapher_core::api::GraphTensor;
 use ugrapher_core::exec::{execute, OpOperands};
@@ -70,9 +75,9 @@ fn tensor(rows: usize, cols: usize, seed: u64) -> Tensor2 {
     Tensor2::from_fn(rows, cols, |_, _| rng.random::<f32>() * 2.0 - 1.0)
 }
 
-/// Median over `reps` repetitions of the mean µs per `f()` call. A
+/// Quartiles over `reps` repetitions of the mean µs per `f()` call. A
 /// repetition repeats the call for at least `min_time`.
-fn time_us(reps: usize, min_time: Duration, mut f: impl FnMut()) -> f64 {
+fn time_us(reps: usize, min_time: Duration, mut f: impl FnMut()) -> [f64; 3] {
     f();
     let mut rep = || {
         let (t0, mut calls) = (Instant::now(), 0u32);
@@ -82,7 +87,31 @@ fn time_us(reps: usize, min_time: Duration, mut f: impl FnMut()) -> f64 {
         }
         t0.elapsed().as_secs_f64() * 1e6 / f64::from(calls)
     };
-    median((0..reps).map(|_| rep()).collect())
+    quartiles((0..reps).map(|_| rep()).collect())
+}
+
+/// [`time_us`] for `f(&input)` where each call gets its own `make()`,
+/// built and dropped outside the timed span.
+fn time_fresh_us<T>(
+    reps: usize,
+    min_time: Duration,
+    mut make: impl FnMut() -> T,
+    mut f: impl FnMut(&T),
+) -> [f64; 3] {
+    f(&make());
+    let mut rep = || {
+        let (mut timed, mut calls) = (Duration::ZERO, 0u32);
+        while calls == 0 || timed < min_time {
+            let input = make();
+            let t0 = Instant::now();
+            f(&input);
+            timed += t0.elapsed();
+            drop(input);
+            calls += 1;
+        }
+        timed.as_secs_f64() * 1e6 / f64::from(calls)
+    };
+    quartiles((0..reps).map(|_| rep()).collect())
 }
 
 fn main() {
@@ -103,7 +132,12 @@ fn main() {
     let mut admit_cells = Vec::new();
     let mut exec_rows = Vec::new();
     let mut admit_rows = Vec::new();
+    let mut exec_quartiles = Vec::new();
+    let mut first_admit_quartiles = Vec::new();
+    let mut admit_quartiles = Vec::new();
     for (name, g) in graphs(smoke) {
+        // Never admitted, so each of its clones starts with an empty memo.
+        let pristine = g.clone();
         let (nv, ne) = (g.num_vertices(), g.num_edges());
         let x = tensor(nv, FEAT, 1);
         let y = tensor(nv, FEAT, 2);
@@ -131,24 +165,30 @@ fn main() {
                 nv.to_string(),
                 ne.to_string(),
                 label.to_owned(),
-                format!("{us:.1}"),
+                format!("{:.1}", us[1]),
             ]);
-            exec_cells.push(Value::obj(vec![
-                ("graph", Value::Str(name.to_owned())),
-                ("vertices", Value::Num(nv as f64)),
-                ("edges", Value::Num(ne as f64)),
-                ("op", Value::Str(label.to_owned())),
-                ("execute_us", Value::Num(us)),
-            ]));
+            exec_quartiles.push(us);
+            exec_cells.push(with_quartiles(
+                Value::obj(vec![
+                    ("graph", Value::Str(name.to_owned())),
+                    ("vertices", Value::Num(nv as f64)),
+                    ("edges", Value::Num(ne as f64)),
+                    ("op", Value::Str(label.to_owned())),
+                ]),
+                "execute_us",
+                us,
+            ));
         }
 
-        let admit_us = time_us(reps, min_time, || {
-            let gt = GraphTensor::new(black_box(&g));
+        let admit = |g: &Graph| {
+            let gt = GraphTensor::new(black_box(g));
             assert!(gt.validation_error().is_none());
             black_box(gt);
             black_box(&x).validate_finite().unwrap();
             black_box(&y).validate_finite().unwrap();
-        });
+        };
+        let first_admit_us = time_fresh_us(reps, min_time, || pristine.clone(), admit);
+        let admit_us = time_us(reps, min_time, || admit(&g));
         let fingerprint_us = time_us(reps, min_time, || {
             black_box(black_box(&g).structural_fingerprint());
         });
@@ -161,26 +201,27 @@ fn main() {
         let finite_us = time_us(reps, min_time, || {
             black_box(&x).validate_finite().unwrap();
         });
-        admit_rows.push(vec![
-            name.to_owned(),
-            nv.to_string(),
-            ne.to_string(),
-            format!("{admit_us:.1}"),
-            format!("{fingerprint_us:.1}"),
-            format!("{validate_us:.1}"),
-            format!("{stats_us:.1}"),
-            format!("{finite_us:.1}"),
-        ]);
-        admit_cells.push(Value::obj(vec![
-            ("graph", Value::Str(name.to_owned())),
-            ("vertices", Value::Num(nv as f64)),
-            ("edges", Value::Num(ne as f64)),
-            ("admit_us", Value::Num(admit_us)),
-            ("fingerprint_us", Value::Num(fingerprint_us)),
-            ("validate_us", Value::Num(validate_us)),
-            ("degree_stats_us", Value::Num(stats_us)),
-            ("finite_us", Value::Num(finite_us)),
-        ]));
+        let figures = [
+            ("first_admit_us", first_admit_us),
+            ("admit_us", admit_us),
+            ("fingerprint_us", fingerprint_us),
+            ("validate_us", validate_us),
+            ("degree_stats_us", stats_us),
+            ("finite_us", finite_us),
+        ];
+        let mut row = vec![name.to_owned(), nv.to_string(), ne.to_string()];
+        row.extend(figures.iter().map(|(_, q)| format!("{:.1}", q[1])));
+        admit_rows.push(row);
+        first_admit_quartiles.push(first_admit_us);
+        admit_quartiles.push(admit_us);
+        admit_cells.push(figures.into_iter().fold(
+            Value::obj(vec![
+                ("graph", Value::Str(name.to_owned())),
+                ("vertices", Value::Num(nv as f64)),
+                ("edges", Value::Num(ne as f64)),
+            ]),
+            |cell, (key, q)| with_quartiles(cell, key, q),
+        ));
     }
 
     print_table(
@@ -194,6 +235,7 @@ fn main() {
             "graph",
             "|V|",
             "|E|",
+            "first admit us",
             "admit us",
             "fingerprint",
             "validate",
@@ -202,16 +244,13 @@ fn main() {
         ],
         &admit_rows,
     );
-    let mean = |cells: &[Value], key: &str| {
-        cells
-            .iter()
-            .map(|c| c.get(key).and_then(Value::as_f64).unwrap())
-            .sum::<f64>()
-            / cells.len() as f64
-    };
-    let mean_execute_us = mean(&exec_cells, "execute_us");
-    let mean_admit_us = mean(&admit_cells, "admit_us");
-    println!("mean over cells: {mean_execute_us:.1} us/execute, {mean_admit_us:.1} us/admission");
+    let mean_execute_us = mean_quartiles(&exec_quartiles);
+    let mean_first_admit_us = mean_quartiles(&first_admit_quartiles);
+    let mean_admit_us = mean_quartiles(&admit_quartiles);
+    println!(
+        "mean over cells: {:.1} us/execute, {:.1} us/first admission, {:.1} us/admission",
+        mean_execute_us[1], mean_first_admit_us[1], mean_admit_us[1]
+    );
 
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let run = Value::obj(vec![
@@ -219,17 +258,19 @@ fn main() {
         ("reps", Value::Num(reps as f64)),
         ("host_threads", Value::Num(threads as f64)),
         ("feat", Value::Num(FEAT as f64)),
-        ("mean_execute_us", Value::Num(mean_execute_us)),
-        ("mean_admit_us", Value::Num(mean_admit_us)),
         ("execute", Value::Arr(exec_cells)),
         ("admit", Value::Arr(admit_cells)),
     ]);
+    let run = with_quartiles(run, "mean_execute_us", mean_execute_us);
+    let run = with_quartiles(run, "mean_first_admit_us", mean_first_admit_us);
+    let run = with_quartiles(run, "mean_admit_us", mean_admit_us);
     save_slot(
         "BENCH_exec",
         &slot,
         run,
         &[
             ("mean_execute_us", &["mean_execute_us"]),
+            ("mean_first_admit_us", &["mean_first_admit_us"]),
             ("mean_admit_us", &["mean_admit_us"]),
         ],
     );

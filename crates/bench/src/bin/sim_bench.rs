@@ -13,7 +13,9 @@
 //!
 //! Each matrix cell is one (device, schedule, graph) triple; its figure is
 //! the median over repetitions of the mean host µs per `measure` call
-//! across the cell's three operators × two fidelities. Devices form the
+//! across the cell's three operators × two fidelities, stored with the
+//! lower and upper quartile over repetitions (`<figure>_q1`,
+//! `<figure>_q3`), as is the grid search's. Devices form the
 //! outer loop, as in a process that targets one GPU, and one untimed pass
 //! per cell runs first, so lazily built per-thread state is warm.
 
@@ -22,7 +24,7 @@
 
 use std::time::Instant;
 
-use ugrapher_bench::{median, print_table, save_slot};
+use ugrapher_bench::{mean_quartiles, print_table, quartiles, save_slot, with_quartiles};
 use ugrapher_core::abstraction::OpInfo;
 use ugrapher_core::exec::{measure, Fidelity, MeasureOptions};
 use ugrapher_core::plan::KernelPlan;
@@ -104,9 +106,9 @@ fn time_cell(g: &Graph, p: ParallelInfo, options: &[MeasureOptions]) -> f64 {
     t0.elapsed().as_secs_f64() * 1e6 / (options.len() * plans.len()) as f64
 }
 
-/// The grid-search graph, its median host ms, and the kernels one search
-/// simulated (read off the `TUNING_EVALUATIONS` counter).
-fn grid_search_ms(reps: usize) -> (Graph, f64, u64) {
+/// The grid-search graph, the quartiles of its host ms, and the kernels one
+/// search simulated (read off the `TUNING_EVALUATIONS` counter).
+fn grid_search_ms(reps: usize) -> (Graph, [f64; 3], u64) {
     let g = spec(240, 1440, DegreeModel::TargetStd { std: 3.0 }, 0.5, 240);
     let space = ParallelInfo::space();
     assert_eq!(space.len(), 196);
@@ -131,7 +133,7 @@ fn grid_search_ms(reps: usize) -> (Graph, f64, u64) {
     let before = evaluations();
     run();
     let measured = evaluations() - before;
-    let ms = median((0..reps).map(|_| run()).collect());
+    let ms = quartiles((0..reps).map(|_| run()).collect());
     (g, ms, measured)
 }
 
@@ -150,35 +152,38 @@ fn main() {
 
     let mut cells = Vec::new();
     let mut rows = Vec::new();
-    let mut total_us = 0.0;
+    let mut cell_quartiles = Vec::new();
     for device in [DeviceConfig::v100(), DeviceConfig::a100()] {
         let options = [Fidelity::Full, Fidelity::Auto]
             .map(|f| MeasureOptions::new(device.clone()).with_fidelity(f));
         for (name, g) in &graphs {
             for &p in &schedules {
                 time_cell(g, p, &options);
-                let us = median((0..reps).map(|_| time_cell(g, p, &options)).collect());
-                total_us += us;
+                let us = quartiles((0..reps).map(|_| time_cell(g, p, &options)).collect());
+                cell_quartiles.push(us);
                 rows.push(vec![
                     device.name.clone(),
                     p.label(),
                     name.to_string(),
                     g.num_vertices().to_string(),
                     g.num_edges().to_string(),
-                    format!("{us:.1}"),
+                    format!("{:.1}", us[1]),
                 ]);
-                cells.push(Value::obj(vec![
-                    ("device", Value::Str(device.name.clone())),
-                    ("schedule", Value::Str(p.label())),
-                    ("graph", Value::Str(name.to_string())),
-                    ("vertices", Value::Num(g.num_vertices() as f64)),
-                    ("edges", Value::Num(g.num_edges() as f64)),
-                    ("measure_us", Value::Num(us)),
-                ]));
+                cells.push(with_quartiles(
+                    Value::obj(vec![
+                        ("device", Value::Str(device.name.clone())),
+                        ("schedule", Value::Str(p.label())),
+                        ("graph", Value::Str(name.to_string())),
+                        ("vertices", Value::Num(g.num_vertices() as f64)),
+                        ("edges", Value::Num(g.num_edges() as f64)),
+                    ]),
+                    "measure_us",
+                    us,
+                ));
             }
         }
     }
-    let mean_us = total_us / cells.len() as f64;
+    let mean_us = mean_quartiles(&cell_quartiles);
     let (grid_graph, grid_ms, grid_measured) = grid_search_ms(grid_reps);
 
     print_table(
@@ -186,11 +191,12 @@ fn main() {
         &["device", "schedule", "graph", "|V|", "|E|", "us/measure"],
         &rows,
     );
-    println!("mean over cells: {mean_us:.1} us/measure");
+    println!("mean over cells: {:.1} us/measure", mean_us[1]);
     println!(
-        "grid_search_budgeted, 196 candidates ({grid_measured} kernels measured), |V|={} |E|={}: {grid_ms:.1} ms",
+        "grid_search_budgeted, 196 candidates ({grid_measured} kernels measured), |V|={} |E|={}: {:.1} ms",
         grid_graph.num_vertices(),
-        grid_graph.num_edges()
+        grid_graph.num_edges(),
+        grid_ms[1]
     );
 
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -198,19 +204,22 @@ fn main() {
         ("smoke", Value::Bool(smoke)),
         ("reps", Value::Num(reps as f64)),
         ("host_threads", Value::Num(threads as f64)),
-        ("mean_measure_us", Value::Num(mean_us)),
         ("cells", Value::Arr(cells)),
         (
             "grid_search",
-            Value::obj(vec![
-                ("candidates", Value::Num(196.0)),
-                ("measured", Value::Num(grid_measured as f64)),
-                ("vertices", Value::Num(grid_graph.num_vertices() as f64)),
-                ("edges", Value::Num(grid_graph.num_edges() as f64)),
-                ("ms", Value::Num(grid_ms)),
-            ]),
+            with_quartiles(
+                Value::obj(vec![
+                    ("candidates", Value::Num(196.0)),
+                    ("measured", Value::Num(grid_measured as f64)),
+                    ("vertices", Value::Num(grid_graph.num_vertices() as f64)),
+                    ("edges", Value::Num(grid_graph.num_edges() as f64)),
+                ]),
+                "ms",
+                grid_ms,
+            ),
         ),
     ]);
+    let run = with_quartiles(run, "mean_measure_us", mean_us);
 
     save_slot(
         "BENCH_sim",

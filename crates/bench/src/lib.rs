@@ -157,10 +157,31 @@ pub fn save_json<T: ToJson>(name: &str, value: &T) {
     println!("[saved results/{name}.json]");
 }
 
-/// Median of `xs` (the upper one for an even count); `NaN` when empty.
-pub fn median(mut xs: Vec<f64>) -> f64 {
+/// The lower quartile, median and upper quartile of `xs`: the sorted
+/// samples at ranks `n / 4`, `n / 2` (the upper median for an even count)
+/// and `3n / 4`. `NaN`s when empty.
+pub fn quartiles(mut xs: Vec<f64>) -> [f64; 3] {
     xs.sort_by(f64::total_cmp);
-    xs.get(xs.len() / 2).copied().unwrap_or(f64::NAN)
+    let n = xs.len();
+    [n / 4, n / 2, 3 * n / 4].map(|i| xs.get(i).copied().unwrap_or(f64::NAN))
+}
+
+/// The element-wise mean of per-cell quartiles: a band that holds the mean
+/// over cells whenever every cell lies within its own quartiles.
+pub fn mean_quartiles(cells: &[[f64; 3]]) -> [f64; 3] {
+    let n = cells.len() as f64;
+    [0, 1, 2].map(|i| cells.iter().map(|q| q[i]).sum::<f64>() / n)
+}
+
+/// Object `obj` with `key` set to the median of `q` and `key_q1` /
+/// `key_q3` to its lower and upper quartile.
+pub fn with_quartiles(mut obj: Value, key: &str, [q1, median, q3]: [f64; 3]) -> Value {
+    if let Value::Obj(m) = &mut obj {
+        m.insert(key.to_owned(), Value::Num(median));
+        m.insert(format!("{key}_q1"), Value::Num(q1));
+        m.insert(format!("{key}_q3"), Value::Num(q3));
+    }
+    obj
 }
 
 /// Replaces slot `slot` of `results/<name>.json` with `run`, keeping the
@@ -168,7 +189,11 @@ pub fn median(mut xs: Vec<f64>) -> f64 {
 /// commit) beside the `after` run and a `smoke` run. When both `before`
 /// and `after` hold every figure in `ratios` (a result key and its path
 /// inside a run), their `after / before` ratios are stored under
-/// `after_over_before` and printed.
+/// `after_over_before` and printed. Where both slots also hold the figure's
+/// quartiles (the path's last key suffixed `_q1` / `_q3`, as written by
+/// [`with_quartiles`]), whether the two interquartile ranges overlap is
+/// stored under `iqr_overlap` and printed beside the ratio: a ratio whose
+/// ranges overlap is within the runs' own spread, not a measured change.
 pub fn save_slot(name: &str, slot: &str, run: Value, ratios: &[(&str, &[&str])]) {
     let path = results_dir().join(format!("{name}.json"));
     let mut doc = match std::fs::read_to_string(&path).ok().map(|s| json::parse(&s)) {
@@ -176,23 +201,45 @@ pub fn save_slot(name: &str, slot: &str, run: Value, ratios: &[(&str, &[&str])])
         _ => Default::default(),
     };
     doc.insert(slot.to_owned(), run);
-    let at = |slot: &str, path: &[&str]| {
-        path.iter()
+    let at = |slot: &str, path: &[&str], suffix: &str| {
+        let (last, parents) = path.split_last()?;
+        parents
+            .iter()
             .try_fold(doc.get(slot)?, |v, k| v.get(k))?
+            .get(&format!("{last}{suffix}"))?
             .as_f64()
     };
-    let ratios: Option<Vec<(&str, f64)>> = ratios
+    let ratios: Option<Vec<(&str, f64, Option<bool>)>> = ratios
         .iter()
-        .map(|&(key, path)| Some((key, at("after", path)? / at("before", path)?)))
+        .map(|&(key, path)| {
+            let ratio = at("after", path, "")? / at("before", path, "")?;
+            let band = |slot| Some((at(slot, path, "_q1")?, at(slot, path, "_q3")?));
+            let overlap = band("before")
+                .zip(band("after"))
+                .map(|((b1, b3), (a1, a3))| a1 <= b3 && b1 <= a3);
+            Some((key, ratio, overlap))
+        })
         .collect();
     if let Some(ratios) = ratios {
-        let shown: Vec<String> = ratios.iter().map(|(k, r)| format!("{k} {r:.3}x")).collect();
-        println!("after/before: {}", shown.join(", "));
-        let obj = ratios
-            .into_iter()
-            .map(|(k, r)| (k, Value::Num(r)))
+        let shown: Vec<String> = ratios
+            .iter()
+            .map(|(k, r, overlap)| {
+                let spread = match overlap {
+                    Some(true) => "IQRs overlap",
+                    Some(false) => "IQRs disjoint",
+                    None => "no IQR",
+                };
+                format!("{k} {r:.3}x ({spread})")
+            })
             .collect();
+        println!("after/before: {}", shown.join(", "));
+        let obj = ratios.iter().map(|&(k, r, _)| (k, Value::Num(r))).collect();
         doc.insert("after_over_before".to_owned(), Value::obj(obj));
+        let overlaps = ratios
+            .iter()
+            .filter_map(|&(k, _, o)| Some((k, Value::Bool(o?))))
+            .collect();
+        doc.insert("iqr_overlap".to_owned(), Value::obj(overlaps));
     }
     std::fs::write(&path, Value::Obj(doc).to_string_compact())
         .unwrap_or_else(|e| panic!("can write {}: {e}", path.display()));
@@ -215,6 +262,20 @@ mod tests {
         assert_eq!(geomean(&[]), 0.0);
         assert!((geomean(&[4.0, 1.0]) - 2.0).abs() < 1e-12);
         assert!((geomean(&[3.0, 3.0, 3.0]) - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn quartiles_by_rank() {
+        assert_eq!(
+            quartiles(vec![7.0, 1.0, 6.0, 2.0, 5.0, 3.0, 4.0]),
+            [2.0, 4.0, 6.0]
+        );
+        assert_eq!(quartiles(vec![3.0]), [3.0; 3]);
+        assert!(quartiles(Vec::new()).iter().all(|q| q.is_nan()));
+        assert_eq!(
+            mean_quartiles(&[[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]]),
+            [2.0, 3.0, 4.0]
+        );
     }
 
     #[test]

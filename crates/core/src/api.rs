@@ -19,9 +19,14 @@
 //! Every public entry point is defensive:
 //!
 //! * inputs are validated up front — graph structure
-//!   ([`ugrapher_graph::Graph::validate`], cached per [`GraphTensor`]),
-//!   operand finiteness ([`Tensor2::validate_finite`]), operator legality
-//!   and explicit schedules — and rejected with a typed [`CoreError`];
+//!   ([`ugrapher_graph::Graph::validate`]), operand finiteness
+//!   ([`Tensor2::validate_finite`]), operator legality and explicit
+//!   schedules — and rejected with a typed [`CoreError`];
+//! * a graph is admitted once per [`Graph`] value: its validation
+//!   verdict, structural fingerprint and degree statistics are computed on
+//!   first use and kept in the graph ([`Graph::admission`]), so repeat
+//!   requests and op sites on one graph pay for them once, while operands
+//!   are checked on every call because they change per request;
 //! * automatic schedule selection degrades gracefully (predictor →
 //!   budgeted grid search → a safe default), recording every fallback in
 //!   the returned [`RobustnessReport`];
@@ -45,30 +50,26 @@ use crate::schedule::{ParallelInfo, Strategy};
 use crate::tune::{grid_search_budgeted, Predictor, TuneBudget};
 use crate::CoreError;
 
-/// The graph operand of the uGrapher API, with cached degree statistics
-/// (the predictor's graph features).
+/// The graph operand of the uGrapher API: a borrow of a [`Graph`] whose
+/// admission facts (degree statistics — the predictor's graph features —,
+/// the [`Graph::validate`] verdict and the structural fingerprint) have
+/// been computed.
 ///
-/// Construction also runs [`Graph::validate`] once and caches the result;
-/// [`Runtime::run`] refuses structurally broken graphs instead of indexing
-/// out of bounds deep inside a kernel.
+/// The facts live in the graph's own memo ([`Graph::admission`]), so they
+/// are computed once per `Graph` value however many tensors, requests or
+/// op sites wrap it. [`Runtime::run`] refuses structurally broken graphs
+/// instead of indexing out of bounds deep inside a kernel.
 #[derive(Debug, Clone)]
 pub struct GraphTensor<'a> {
     graph: &'a Graph,
-    stats: DegreeStats,
-    validation: Option<String>,
-    fingerprint: u64,
 }
 
 impl<'a> GraphTensor<'a> {
-    /// Wraps a graph, computing its degree statistics, structural
-    /// validation verdict, and structural fingerprint once.
+    /// Wraps a graph, computing its admission facts unless an earlier
+    /// wrap of the same value already did.
     pub fn new(graph: &'a Graph) -> Self {
-        Self {
-            graph,
-            stats: graph.degree_stats(),
-            validation: graph.validate().err().map(|e| e.to_string()),
-            fingerprint: graph.structural_fingerprint(),
-        }
+        graph.admission();
+        Self { graph }
     }
 
     /// The underlying graph.
@@ -76,20 +77,20 @@ impl<'a> GraphTensor<'a> {
         self.graph
     }
 
-    /// Cached degree statistics.
+    /// The graph's degree statistics.
     pub fn stats(&self) -> &DegreeStats {
-        &self.stats
+        self.graph.admission().stats()
     }
 
-    /// The cached [`Graph::validate`] failure, if the graph is broken.
+    /// The [`Graph::validate`] failure, if the graph is broken.
     pub fn validation_error(&self) -> Option<&str> {
-        self.validation.as_deref()
+        self.graph.admission().validation_error()
     }
 
-    /// The cached [`Graph::structural_fingerprint`] — the graph-version
+    /// The graph's [`Graph::structural_fingerprint`] — the graph-version
     /// component of [`crate::cache::PlanKey`].
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        self.graph.admission().fingerprint()
     }
 }
 
@@ -627,7 +628,7 @@ impl Runtime {
             self.recorder
                 .span_traced("ugrapher.measure_only", SpanKind::Runtime, trace_id);
         self.device.validate()?;
-        graph.validate()?;
+        graph.admission().validation()?;
         let plan =
             KernelPlan::generate(*op, parallel, graph.num_vertices(), graph.num_edges(), feat)?;
         let report = measure(

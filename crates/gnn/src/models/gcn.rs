@@ -12,17 +12,17 @@ use crate::models::{Ctx, ModelConfig};
 use crate::{GnnError, ModelKind, OpSite, OpSiteKind};
 
 /// Symmetric GCN normalisation weights: `1 / sqrt((1+d_out(u))(1+d_in(v)))`
-/// per edge, as a one-column edge tensor (scalar broadcast).
+/// per edge, as a one-column edge tensor (scalar broadcast). Filled by edge
+/// id straight from the in-edge view.
 pub(crate) fn norm_weights(graph: &Graph) -> Tensor2 {
-    let coo = graph.to_coo();
-    let data: Vec<f32> = coo
-        .iter_edges()
-        .map(|(u, v)| {
+    let mut data = vec![0.0f32; graph.num_edges()];
+    for v in 0..graph.num_vertices() {
+        let dv = 1.0 + graph.in_degree(v) as f32;
+        for (u, e) in graph.in_neighbors(v) {
             let du = 1.0 + graph.out_degree(u as usize) as f32;
-            let dv = 1.0 + graph.in_degree(v as usize) as f32;
-            1.0 / (du * dv).sqrt()
-        })
-        .collect();
+            data[e as usize] = 1.0 / (du * dv).sqrt();
+        }
+    }
     Tensor2::from_vec(graph.num_edges(), 1, data).expect("one weight per edge")
 }
 
@@ -72,6 +72,33 @@ mod tests {
         let w = norm_weights(&g);
         assert_eq!(w.shape(), (10, 1));
         assert!(w.as_slice().iter().all(|&x| (x - 0.5).abs() < 1e-6));
+    }
+
+    /// The in-view fill gives every edge exactly the bits of the formula
+    /// evaluated over the edge list.
+    #[test]
+    fn norm_weights_match_the_edge_list_formula_bitwise() {
+        let hub = Graph::from_edges(6, vec![1, 2, 3, 4, 5, 0], vec![0, 0, 0, 0, 0, 1]).unwrap();
+        let multi = Graph::from_edges(3, vec![0, 0, 0, 1, 2, 2], vec![1, 1, 1, 2, 0, 0]).unwrap();
+        let self_loops =
+            Graph::from_edges(4, vec![0, 1, 1, 2, 3, 3], vec![0, 1, 2, 2, 3, 0]).unwrap();
+        for g in [hub, multi, self_loops] {
+            let expected: Vec<u32> = g
+                .to_coo()
+                .iter_edges()
+                .map(|(u, v)| {
+                    let du = 1.0 + g.out_degree(u as usize) as f32;
+                    let dv = 1.0 + g.in_degree(v as usize) as f32;
+                    (1.0 / (du * dv).sqrt()).to_bits()
+                })
+                .collect();
+            let got: Vec<u32> = norm_weights(&g)
+                .as_slice()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
+            assert_eq!(got, expected, "{g:?}");
+        }
     }
 
     #[test]

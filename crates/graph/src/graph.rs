@@ -1,3 +1,6 @@
+use std::fmt;
+use std::sync::OnceLock;
+
 use crate::{Coo, DegreeStats, GraphError};
 
 /// A directed graph with both in-edge (CSC-like) and out-edge (CSR-like)
@@ -22,7 +25,13 @@ use crate::{Coo, DegreeStats, GraphError};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A `Graph` is immutable: its fields are private, no method takes
+/// `&mut self`, and every constructor goes through [`Graph::from_coo`].
+/// So the facts [`Graph::admission`] derives from the structure are
+/// computed once per value and kept beside it; equality and `Debug` ignore
+/// them, and a clone carries them along.
+#[derive(Clone)]
 pub struct Graph {
     num_vertices: usize,
     num_edges: usize,
@@ -38,6 +47,57 @@ pub struct Graph {
     out_dst: Vec<u32>,
     /// Stable edge id of each out-edge slot.
     out_eid: Vec<u32>,
+    /// [`Graph::admission`]'s memo, filled on first use.
+    admission: OnceLock<Admission>,
+}
+
+/// What admitting a graph to a kernel needs to know about its structure:
+/// the degree statistics, the [`Graph::validate`] verdict and the
+/// structural fingerprint. [`Graph::admission`] computes them once per
+/// [`Graph`] value.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Admission {
+    stats: DegreeStats,
+    validation: Result<(), GraphError>,
+    /// `validation`'s error as text, rendered once for borrowers.
+    reason: Option<String>,
+    fingerprint: u64,
+}
+
+impl Admission {
+    fn of(graph: &Graph) -> Self {
+        let validation = graph.validate();
+        Self {
+            stats: graph.degree_stats(),
+            reason: validation.as_ref().err().map(ToString::to_string),
+            validation,
+            fingerprint: graph.structural_fingerprint(),
+        }
+    }
+
+    /// [`Graph::degree_stats`].
+    pub fn stats(&self) -> &DegreeStats {
+        &self.stats
+    }
+
+    /// The [`Graph::validate`] verdict.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::InvalidStructure`] when the structure is broken.
+    pub fn validation(&self) -> Result<(), GraphError> {
+        self.validation.clone()
+    }
+
+    /// The [`Graph::validate`] error's message, if the structure is broken.
+    pub fn validation_error(&self) -> Option<&str> {
+        self.reason.as_deref()
+    }
+
+    /// [`Graph::structural_fingerprint`].
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
 }
 
 impl Graph {
@@ -58,6 +118,7 @@ impl Graph {
             out_ptr,
             out_dst,
             out_eid,
+            admission: OnceLock::new(),
         }
     }
 
@@ -163,7 +224,18 @@ impl Graph {
         Coo::new(self.num_vertices, src, dst).expect("internal adjacency is always valid")
     }
 
-    /// In-degree statistics ("std of nnz" in paper Table 3).
+    /// The graph's [`Admission`] facts: [`Graph::degree_stats`],
+    /// [`Graph::validate`] and [`Graph::structural_fingerprint`], computed
+    /// on the first call and returned from the memo afterwards. Nothing
+    /// invalidates the memo because nothing can change the structure it
+    /// describes; it lives exactly as long as this value. Concurrent first
+    /// calls (e.g. through one `Arc<Graph>`) compute it once.
+    pub fn admission(&self) -> &Admission {
+        self.admission.get_or_init(|| Admission::of(self))
+    }
+
+    /// In-degree statistics ("std of nnz" in paper Table 3). Recomputed on
+    /// every call; [`Graph::admission`] keeps them.
     pub fn degree_stats(&self) -> DegreeStats {
         DegreeStats::from_graph(self)
     }
@@ -187,9 +259,9 @@ impl Graph {
     /// value is an in-memory key only: it is not stable across versions
     /// and is never persisted.
     ///
-    /// Cost is one pass over `V + E` words; callers that look up
-    /// repeatedly should compute it once per graph version (see
-    /// `ugrapher_core::api::GraphTensor`).
+    /// Cost is one pass over `V + E` words, paid on every call; callers
+    /// that look up repeatedly read it from [`Graph::admission`], which
+    /// computes it once per `Graph` value.
     pub fn structural_fingerprint(&self) -> u64 {
         /// Lane seeds: hex digits of pi.
         const SEEDS: [u64; 4] = [
@@ -222,8 +294,9 @@ impl Graph {
     ///
     /// [`Graph::from_coo`] always produces a valid structure, but graphs
     /// can also arrive from files, caches or future zero-copy paths, and
-    /// every executor indexes the arrays unchecked in its hot loop. The
-    /// invariants:
+    /// every executor indexes the arrays unchecked in its hot loop. This
+    /// runs the full check on every call; [`Graph::admission`] keeps its
+    /// verdict. The invariants:
     ///
     /// * both offset arrays have `num_vertices + 1` entries, start at 0,
     ///   end at `num_edges`, and are monotone non-decreasing;
@@ -327,6 +400,38 @@ impl Graph {
             }
         }
         Ok(())
+    }
+}
+
+/// Structural equality: the [`Graph::admission`] memo is derived from the
+/// compared fields, so whether it is filled does not matter.
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        self.num_vertices == other.num_vertices
+            && self.num_edges == other.num_edges
+            && self.in_ptr == other.in_ptr
+            && self.in_src == other.in_src
+            && self.in_eid == other.in_eid
+            && self.out_ptr == other.out_ptr
+            && self.out_dst == other.out_dst
+            && self.out_eid == other.out_eid
+    }
+}
+
+impl Eq for Graph {}
+
+impl fmt::Debug for Graph {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Graph")
+            .field("num_vertices", &self.num_vertices)
+            .field("num_edges", &self.num_edges)
+            .field("in_ptr", &self.in_ptr)
+            .field("in_src", &self.in_src)
+            .field("in_eid", &self.in_eid)
+            .field("out_ptr", &self.out_ptr)
+            .field("out_dst", &self.out_dst)
+            .field("out_eid", &self.out_eid)
+            .finish()
     }
 }
 
@@ -496,6 +601,31 @@ mod tests {
         let mut g = diamond();
         g.in_eid.swap(0, 1);
         assert_invalid(&g, "in/out views disagreeing on a destination");
+    }
+
+    /// A structure broken before its first admission is refused through
+    /// the memo, with the same error [`Graph::validate`] returns.
+    #[test]
+    fn admission_of_a_corrupted_graph_is_invalid() {
+        let mut g = diamond();
+        g.in_src.swap(1, 2);
+        assert!(g.admission.get().is_none(), "memo must start empty");
+        let admission = g.admission();
+        assert!(matches!(
+            admission.validation(),
+            Err(GraphError::InvalidStructure { .. })
+        ));
+        assert_eq!(admission.validation(), g.validate());
+        assert_eq!(
+            admission.validation_error(),
+            Some(g.validate().unwrap_err().to_string().as_str())
+        );
+
+        let ok = diamond();
+        assert_eq!(ok.admission().validation(), Ok(()));
+        assert_eq!(ok.admission().validation_error(), None);
+        assert_eq!(ok.admission().fingerprint(), ok.structural_fingerprint());
+        assert_eq!(ok.admission().stats(), &ok.degree_stats());
     }
 
     /// Every single-word edit of the hashed arrays changes the value,

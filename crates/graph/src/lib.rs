@@ -45,5 +45,5 @@ pub mod stats;
 
 pub use coo::Coo;
 pub use error::GraphError;
-pub use graph::Graph;
+pub use graph::{Admission, Graph};
 pub use stats::DegreeStats;

@@ -80,19 +80,28 @@ cargo run --release -p ugrapher-bench --bin sim_bench -- --smoke >/dev/null
 python3 - results/BENCH_sim.json <<'EOF'
 import json, sys
 r = json.load(open(sys.argv[1]))
+def quartiles(obj, key):
+    # Every figure is a median stored with its quartiles over repetitions.
+    assert 0 < obj[f"{key}_q1"] <= obj[key] <= obj[f"{key}_q3"], (key, obj)
 for slot in ("before", "after", "smoke"):
     run = r[slot]
     assert run["cells"], f"{slot}: no cells"
     for c in run["cells"]:
         assert {"device", "schedule", "graph", "vertices", "edges"} <= c.keys(), c
         assert c["measure_us"] > 0, c
+        quartiles(c, "measure_us")
     assert run["mean_measure_us"] > 0
+    quartiles(run, "mean_measure_us")
     assert run["grid_search"]["candidates"] == 196
     assert run["grid_search"]["ms"] > 0
+    quartiles(run["grid_search"], "ms")
     # Distinct kernels simulated; the parent-commit `before` run predates it.
     if slot != "before":
         assert 0 < run["grid_search"]["measured"] <= 196, run["grid_search"]
 assert r["smoke"]["smoke"] is True
+for key in ("mean_measure_us", "grid_search_ms"):
+    assert r["after_over_before"][key] > 0, key
+    assert isinstance(r["iqr_overlap"][key], bool), key
 print(f'sim JSON ok: {len(r["smoke"]["cells"])} smoke cells, '
       f'{r["smoke"]["mean_measure_us"]:.1f} us/measure, '
       f'grid search {r["smoke"]["grid_search"]["ms"]:.1f} ms')
@@ -105,17 +114,32 @@ python3 - results/BENCH_exec.json <<'EOF'
 import json, sys
 r = json.load(open(sys.argv[1]))
 ops = {"weighted_sum", "message_add", "mean", "max"}
+def quartiles(obj, key):
+    # Every figure is a median stored with its quartiles over repetitions.
+    assert 0 < obj[f"{key}_q1"] <= obj[key] <= obj[f"{key}_q3"], (key, obj)
+admit_parts = ("first_admit_us", "admit_us", "fingerprint_us", "validate_us",
+               "degree_stats_us", "finite_us")
 for slot in ("before", "after", "smoke"):
     run = r[slot]
     assert {c["op"] for c in run["execute"]} == ops, f"{slot}: ops"
     for c in run["execute"]:
         assert {"graph", "vertices", "edges"} <= c.keys(), c
         assert c["execute_us"] > 0, c
+        quartiles(c, "execute_us")
     assert run["admit"], f"{slot}: no admission cells"
     for c in run["admit"]:
         assert c["admit_us"] > 0, c
+        # First admission (empty memo) and repeat admission (memo hit),
+        # each beside the un-memoised parts.
+        for key in admit_parts:
+            quartiles(c, key)
     assert run["feat"] == 32 and run["mean_execute_us"] > 0 and run["mean_admit_us"] > 0
+    for key in ("mean_execute_us", "mean_first_admit_us", "mean_admit_us"):
+        quartiles(run, key)
 assert r["smoke"]["smoke"] is True
+for key in ("mean_execute_us", "mean_first_admit_us", "mean_admit_us"):
+    assert r["after_over_before"][key] > 0, key
+    assert isinstance(r["iqr_overlap"][key], bool), key
 print(f'exec JSON ok: {len(r["smoke"]["execute"])} smoke cells, '
       f'{r["smoke"]["mean_execute_us"]:.1f} us/execute, '
       f'{r["smoke"]["mean_admit_us"]:.1f} us/admission')
