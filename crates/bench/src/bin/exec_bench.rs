@@ -1,18 +1,26 @@
-//! Functional-executor and admission benchmark: host time of
+//! Functional-executor, admission and dense-GEMM benchmark: host time of
 //! `exec::execute` for the serve workload's three operators plus max
 //! aggregation, and of request admission (`GraphTensor::new` plus two
 //! `Tensor2::validate_finite` calls), on three graph sizes at feature
-//! width 32. Admission is timed twice: `first_admit_us` wraps a graph
-//! whose admission memo is still empty (a never-admitted clone per call),
-//! `admit_us` wraps the same graph again and again, as repeat requests and
-//! op sites do.
+//! width 32; and of `ugrapher_tensor::gemm` at the layer shapes of the
+//! gnn-infer workload's models (dense lhs for a first layer, ReLU'd lhs,
+//! about half zeros, after an activation). Admission is timed twice:
+//! `first_admit_us` wraps a graph whose admission memo is still empty (a
+//! never-admitted clone per call), `admit_us` wraps the same graph again
+//! and again, as repeat requests and op sites do.
 //!
-//! Usage: `exec_bench [--smoke] [--slot <name>]`. A run replaces one slot
-//! of `results/BENCH_exec.json` and keeps the others, so the file holds
-//! `before` (measured on the parent commit) and `after` side by side, plus
-//! their ratio. `--slot` defaults to `after`; `--smoke` runs one short
-//! repetition without the largest graph into the `smoke` slot, which CI
-//! checks for shape only (no wall-clock threshold).
+//! Usage: `exec_bench [--smoke] [--slot <name>] [--fresh]`. A run replaces
+//! one slot of `results/BENCH_exec.json` and keeps the others, so the file
+//! holds `before` (measured on the parent commit) and `after` side by
+//! side, plus their ratio. `--slot` defaults to `after`; `--smoke` runs one
+//! short repetition without the largest graph into the `smoke` slot, which
+//! CI checks for shape only (no wall-clock threshold).
+//!
+//! Each run also appends its headline means to the slot's `runs` list
+//! (`--fresh` starts the list anew), and the ratio compares the medians
+//! over runs: drift between processes minutes apart can exceed one run's
+//! quartile band. Record at least three alternating `before` / `after`
+//! runs, the first of each with `--fresh`.
 //!
 //! Each figure is the median over repetitions of the mean host µs per
 //! call, stored with the lower and upper quartile over repetitions
@@ -28,18 +36,30 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use ugrapher_bench::{mean_quartiles, print_table, quartiles, save_slot, with_quartiles};
+use ugrapher_bench::{mean_quartiles, print_table, quartiles, save_slot, with_quartiles, SlotArgs};
 use ugrapher_core::abstraction::OpInfo;
 use ugrapher_core::api::GraphTensor;
 use ugrapher_core::exec::{execute, OpOperands};
 use ugrapher_graph::generate::{DegreeModel, GraphSpec};
 use ugrapher_graph::Graph;
-use ugrapher_tensor::Tensor2;
+use ugrapher_tensor::{gemm, Tensor2};
 use ugrapher_util::json::Value;
 use ugrapher_util::rng::StdRng;
 
 const FEAT: usize = 32;
 const REPS: usize = 7;
+
+/// The gnn-infer layer shapes `(m, k, n, relu)`, with `m` a typical vertex
+/// count: GCN and SAGE-mean project 32 input features to 16 and, after a
+/// ReLU, 16 to 8 classes; GIN and GAT, on graphs about a fifth the size,
+/// run 32 to 64, 64 to 64 and 64 to 8.
+const GEMM_SHAPES: [(usize, usize, usize, bool); 5] = [
+    (5000, 32, 16, false),
+    (5000, 16, 8, true),
+    (1000, 32, 64, false),
+    (1000, 64, 64, true),
+    (1000, 64, 8, true),
+];
 
 /// The benchmark's graphs, by name: serve-sized small and medium graphs
 /// and one larger one.
@@ -115,13 +135,7 @@ fn time_fresh_us<T>(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let slot = match args.iter().position(|a| a == "--slot") {
-        Some(i) => args.get(i + 1).expect("--slot needs a name").clone(),
-        None if smoke => "smoke".to_owned(),
-        None => "after".to_owned(),
-    };
+    let SlotArgs { smoke, slot, fresh } = SlotArgs::from_env();
     let (reps, min_time) = if smoke {
         (1, Duration::from_millis(2))
     } else {
@@ -224,6 +238,37 @@ fn main() {
         ));
     }
 
+    let mut gemm_cells = Vec::new();
+    let mut gemm_rows = Vec::new();
+    let mut gemm_quartiles = Vec::new();
+    for (seed, &(m, k, n, relu)) in (10..).zip(&GEMM_SHAPES) {
+        let lhs = tensor(m, k, seed);
+        let a = if relu { lhs.relu() } else { lhs };
+        let b = tensor(k, n, seed + 100);
+        let us = time_us(reps, min_time, || {
+            black_box(gemm(black_box(&a), black_box(&b)).unwrap());
+        });
+        let kind = if relu { "relu" } else { "dense" };
+        gemm_rows.push(vec![
+            m.to_string(),
+            k.to_string(),
+            n.to_string(),
+            kind.to_owned(),
+            format!("{:.1}", us[1]),
+        ]);
+        gemm_quartiles.push(us);
+        gemm_cells.push(with_quartiles(
+            Value::obj(vec![
+                ("m", Value::Num(m as f64)),
+                ("k", Value::Num(k as f64)),
+                ("n", Value::Num(n as f64)),
+                ("lhs", Value::Str(kind.to_owned())),
+            ]),
+            "gemm_us",
+            us,
+        ));
+    }
+
     print_table(
         &format!("exec::execute host time, feat {FEAT} ({slot})"),
         &["graph", "|V|", "|E|", "op", "us/execute"],
@@ -244,12 +289,19 @@ fn main() {
         ],
         &admit_rows,
     );
+    print_table(
+        &format!("gemm host time ({slot})"),
+        &["m", "k", "n", "lhs", "us/gemm"],
+        &gemm_rows,
+    );
     let mean_execute_us = mean_quartiles(&exec_quartiles);
     let mean_first_admit_us = mean_quartiles(&first_admit_quartiles);
     let mean_admit_us = mean_quartiles(&admit_quartiles);
+    let mean_gemm_us = mean_quartiles(&gemm_quartiles);
     println!(
-        "mean over cells: {:.1} us/execute, {:.1} us/first admission, {:.1} us/admission",
-        mean_execute_us[1], mean_first_admit_us[1], mean_admit_us[1]
+        "mean over cells: {:.1} us/execute, {:.1} us/first admission, {:.1} us/admission, \
+         {:.1} us/gemm",
+        mean_execute_us[1], mean_first_admit_us[1], mean_admit_us[1], mean_gemm_us[1]
     );
 
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -260,10 +312,12 @@ fn main() {
         ("feat", Value::Num(FEAT as f64)),
         ("execute", Value::Arr(exec_cells)),
         ("admit", Value::Arr(admit_cells)),
+        ("gemm", Value::Arr(gemm_cells)),
     ]);
     let run = with_quartiles(run, "mean_execute_us", mean_execute_us);
     let run = with_quartiles(run, "mean_first_admit_us", mean_first_admit_us);
     let run = with_quartiles(run, "mean_admit_us", mean_admit_us);
+    let run = with_quartiles(run, "mean_gemm_us", mean_gemm_us);
     save_slot(
         "BENCH_exec",
         &slot,
@@ -272,6 +326,8 @@ fn main() {
             ("mean_execute_us", &["mean_execute_us"]),
             ("mean_first_admit_us", &["mean_first_admit_us"]),
             ("mean_admit_us", &["mean_admit_us"]),
+            ("mean_gemm_us", &["mean_gemm_us"]),
         ],
+        fresh,
     );
 }

@@ -4,12 +4,18 @@
 //! number of distinct kernels it simulated (`measured`: 168 at feat 32,
 //! where tiling 64 clamps to tiling 32's kernel).
 //!
-//! Usage: `sim_bench [--smoke] [--slot <name>]`. A run replaces one slot of
-//! `results/BENCH_sim.json` and keeps the others, so the file holds
-//! `before` (measured on the parent commit's simulator) and `after` side by
-//! side, plus their ratio. `--slot` defaults to `after`; `--smoke` runs a
-//! single repetition of a trimmed matrix into the `smoke` slot, which CI
-//! checks for shape only (no wall-clock threshold).
+//! Usage: `sim_bench [--smoke] [--slot <name>] [--fresh]`. A run replaces
+//! one slot of `results/BENCH_sim.json` and keeps the others, so the file
+//! holds `before` (measured on the parent commit's simulator) and `after`
+//! side by side, plus their ratio. `--slot` defaults to `after`; `--smoke`
+//! runs a single repetition of a trimmed matrix into the `smoke` slot,
+//! which CI checks for shape only (no wall-clock threshold).
+//!
+//! Each run also appends its two headline figures to the slot's `runs`
+//! list (`--fresh` starts the list anew), and the ratio compares the
+//! medians over runs: drift between processes minutes apart can exceed
+//! one run's quartile band. Record at least three alternating `before` /
+//! `after` runs, the first of each with `--fresh`.
 //!
 //! Each matrix cell is one (device, schedule, graph) triple; its figure is
 //! the median over repetitions of the mean host µs per `measure` call
@@ -24,7 +30,7 @@
 
 use std::time::Instant;
 
-use ugrapher_bench::{mean_quartiles, print_table, quartiles, save_slot, with_quartiles};
+use ugrapher_bench::{mean_quartiles, print_table, quartiles, save_slot, with_quartiles, SlotArgs};
 use ugrapher_core::abstraction::OpInfo;
 use ugrapher_core::exec::{measure, Fidelity, MeasureOptions};
 use ugrapher_core::plan::KernelPlan;
@@ -138,13 +144,7 @@ fn grid_search_ms(reps: usize) -> (Graph, [f64; 3], u64) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let slot = match args.iter().position(|a| a == "--slot") {
-        Some(i) => args.get(i + 1).expect("--slot needs a name").clone(),
-        None if smoke => "smoke".to_owned(),
-        None => "after".to_owned(),
-    };
+    let SlotArgs { smoke, slot, fresh } = SlotArgs::from_env();
     let (reps, grid_reps) = if smoke { (1, 1) } else { (REPS, GRID_REPS) };
 
     let graphs = graphs(smoke);
@@ -229,5 +229,6 @@ fn main() {
             ("mean_measure_us", &["mean_measure_us"]),
             ("grid_search_ms", &["grid_search", "ms"]),
         ],
+        fresh,
     );
 }

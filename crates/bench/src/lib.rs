@@ -184,39 +184,75 @@ pub fn with_quartiles(mut obj: Value, key: &str, [q1, median, q3]: [f64; 3]) -> 
     obj
 }
 
+/// The command line of a slot-writing benchmark binary:
+/// `[--smoke] [--slot <name>] [--fresh]`.
+pub struct SlotArgs {
+    /// `--smoke`: a short run, for shape checks only.
+    pub smoke: bool,
+    /// The slot to write: `--slot`, else `smoke` or `after`.
+    pub slot: String,
+    /// `--fresh`: start the slot's `runs` list anew.
+    pub fresh: bool,
+}
+
+impl SlotArgs {
+    /// Parses the process arguments.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `--slot` is not followed by a name.
+    pub fn from_env() -> Self {
+        let args: Vec<String> = std::env::args().collect();
+        let smoke = args.iter().any(|a| a == "--smoke");
+        let slot = match args.iter().position(|a| a == "--slot") {
+            Some(i) => args.get(i + 1).expect("--slot needs a name").clone(),
+            None if smoke => "smoke".to_owned(),
+            None => "after".to_owned(),
+        };
+        let fresh = args.iter().any(|a| a == "--fresh");
+        Self { smoke, slot, fresh }
+    }
+}
+
 /// Replaces slot `slot` of `results/<name>.json` with `run`, keeping the
-/// other slots, so one file holds a `before` run (measured on the parent
-/// commit) beside the `after` run and a `smoke` run. When both `before`
-/// and `after` hold every figure in `ratios` (a result key and its path
-/// inside a run), their `after / before` ratios are stored under
-/// `after_over_before` and printed. Where both slots also hold the figure's
-/// quartiles (the path's last key suffixed `_q1` / `_q3`, as written by
-/// [`with_quartiles`]), whether the two interquartile ranges overlap is
-/// stored under `iqr_overlap` and printed beside the ratio: a ratio whose
-/// ranges overlap is within the runs' own spread, not a measured change.
-pub fn save_slot(name: &str, slot: &str, run: Value, ratios: &[(&str, &[&str])]) {
+/// other slots, so one file holds `before` runs (measured on the parent
+/// commit) beside `after` runs and a `smoke` run.
+///
+/// Each figure in `ratios` (a result key and its path inside a run) is
+/// also appended, with its quartiles where the run has them (the path's
+/// last key suffixed `_q1` / `_q3`, as written by [`with_quartiles`]), to
+/// the slot's `runs` list, which the new slot carries over from the one it
+/// replaces unless `fresh`. Drift between process runs minutes apart can
+/// exceed one run's spread, so a comparison should rest on several
+/// alternating `before` / `after` runs. When both slots' runs hold every
+/// figure, `after_over_before` stores, per figure, the median over the
+/// `after` runs' medians divided by the same over `before`, and
+/// `iqr_overlap` whether the two slots' bands overlap; a slot's band runs
+/// from its runs' lowest lower quartile to their highest upper quartile,
+/// so it spans both the spread within runs and the drift between them. A
+/// ratio whose bands overlap is not a measured change.
+pub fn save_slot(name: &str, slot: &str, mut run: Value, ratios: &[(&str, &[&str])], fresh: bool) {
     let path = results_dir().join(format!("{name}.json"));
     let mut doc = match std::fs::read_to_string(&path).ok().map(|s| json::parse(&s)) {
         Some(Ok(Value::Obj(m))) => m,
         _ => Default::default(),
     };
-    doc.insert(slot.to_owned(), run);
-    let at = |slot: &str, path: &[&str], suffix: &str| {
-        let (last, parents) = path.split_last()?;
-        parents
-            .iter()
-            .try_fold(doc.get(slot)?, |v, k| v.get(k))?
-            .get(&format!("{last}{suffix}"))?
-            .as_f64()
+    let runs_of = |slot: &Value| slot.get("runs")?.as_arr().map(<[Value]>::to_vec);
+    let mut runs = match doc.get(slot).and_then(runs_of) {
+        Some(runs) if !fresh => runs,
+        _ => Vec::new(),
     };
+    runs.push(run_figures(&run, ratios));
+    if let Value::Obj(m) = &mut run {
+        m.insert("runs".to_owned(), Value::Arr(runs));
+    }
+    doc.insert(slot.to_owned(), run);
+    let slot_runs = |slot| doc.get(slot).and_then(runs_of).unwrap_or_default();
+    let (before, after) = (slot_runs("before"), slot_runs("after"));
     let ratios: Option<Vec<(&str, f64, Option<bool>)>> = ratios
         .iter()
-        .map(|&(key, path)| {
-            let ratio = at("after", path, "")? / at("before", path, "")?;
-            let band = |slot| Some((at(slot, path, "_q1")?, at(slot, path, "_q3")?));
-            let overlap = band("before")
-                .zip(band("after"))
-                .map(|((b1, b3), (a1, a3))| a1 <= b3 && b1 <= a3);
+        .map(|&(key, _)| {
+            let (ratio, overlap) = compare_runs(&before, &after, key)?;
             Some((key, ratio, overlap))
         })
         .collect();
@@ -225,14 +261,19 @@ pub fn save_slot(name: &str, slot: &str, run: Value, ratios: &[(&str, &[&str])])
             .iter()
             .map(|(k, r, overlap)| {
                 let spread = match overlap {
-                    Some(true) => "IQRs overlap",
-                    Some(false) => "IQRs disjoint",
+                    Some(true) => "bands overlap",
+                    Some(false) => "bands disjoint",
                     None => "no IQR",
                 };
                 format!("{k} {r:.3}x ({spread})")
             })
             .collect();
-        println!("after/before: {}", shown.join(", "));
+        println!(
+            "after/before over {} before and {} after runs: {}",
+            before.len(),
+            after.len(),
+            shown.join(", ")
+        );
         let obj = ratios.iter().map(|&(k, r, _)| (k, Value::Num(r))).collect();
         doc.insert("after_over_before".to_owned(), Value::obj(obj));
         let overlaps = ratios
@@ -244,6 +285,54 @@ pub fn save_slot(name: &str, slot: &str, run: Value, ratios: &[(&str, &[&str])])
     std::fs::write(&path, Value::Obj(doc).to_string_compact())
         .unwrap_or_else(|e| panic!("can write {}: {e}", path.display()));
     println!("[saved results/{name}.json]");
+}
+
+/// The `ratios` figures of one run, keyed by ratio name: each median, with
+/// its `_q1` / `_q3` quartiles where the run has them.
+fn run_figures(run: &Value, ratios: &[(&str, &[&str])]) -> Value {
+    let mut figures = std::collections::BTreeMap::new();
+    for &(key, path) in ratios {
+        let Some((last, parents)) = path.split_last() else {
+            continue;
+        };
+        let Some(obj) = parents.iter().try_fold(run, |v, k| v.get(k)) else {
+            continue;
+        };
+        for suffix in ["", "_q1", "_q3"] {
+            if let Some(v) = obj.get(&format!("{last}{suffix}")) {
+                figures.insert(format!("{key}{suffix}"), v.clone());
+            }
+        }
+    }
+    Value::Obj(figures)
+}
+
+/// Figure `key` over two slots' `runs` lists: the median of the `after`
+/// runs' medians over the same for `before`, and, where every run has
+/// quartiles, whether the slots' bands overlap (a band runs from the
+/// lowest lower quartile to the highest upper quartile of a slot's runs).
+/// `None` unless both lists are non-empty and every run has the figure.
+fn compare_runs(before: &[Value], after: &[Value], key: &str) -> Option<(f64, Option<bool>)> {
+    let over = |runs: &[Value], key: &str| -> Option<Vec<f64>> {
+        if runs.is_empty() {
+            return None;
+        }
+        runs.iter().map(|r| r.get(key)?.as_f64()).collect()
+    };
+    let median = |runs| Some(quartiles(over(runs, key)?)[1]);
+    let ratio = median(after)? / median(before)?;
+    let band = |runs| {
+        let q1 = over(runs, &format!("{key}_q1"))?;
+        let q3 = over(runs, &format!("{key}_q3"))?;
+        Some((
+            q1.into_iter().fold(f64::INFINITY, f64::min),
+            q3.into_iter().fold(f64::NEG_INFINITY, f64::max),
+        ))
+    };
+    let overlap = band(before)
+        .zip(band(after))
+        .map(|((b1, b3), (a1, a3))| a1 <= b3 && b1 <= a3);
+    Some((ratio, overlap))
 }
 
 /// Loads a previously saved result, if present and parseable.
@@ -275,6 +364,41 @@ mod tests {
         assert_eq!(
             mean_quartiles(&[[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]]),
             [2.0, 3.0, 4.0]
+        );
+    }
+
+    fn figure(median: f64, q1: f64, q3: f64) -> Value {
+        with_quartiles(Value::obj(vec![]), "t", [q1, median, q3])
+    }
+
+    #[test]
+    fn runs_compare_by_median_and_pooled_band() {
+        let before = [
+            figure(10.0, 9.0, 11.0),
+            figure(14.0, 13.0, 15.0),
+            figure(12.0, 11.5, 12.5),
+        ];
+        let after = [figure(6.0, 5.5, 6.5), figure(7.0, 6.0, 8.0)];
+        // Upper median of the after runs (7) over the median of before (12).
+        let (ratio, overlap) = compare_runs(&before, &after, "t").unwrap();
+        assert!((ratio - 7.0 / 12.0).abs() < 1e-12);
+        assert_eq!(overlap, Some(false));
+        // A before run whose band reaches into the after band overlaps.
+        let drifted = [figure(10.0, 7.5, 11.0)];
+        assert_eq!(compare_runs(&drifted, &after, "t").unwrap().1, Some(true));
+        assert!(compare_runs(&[], &after, "t").is_none());
+        assert!(compare_runs(&before, &after, "missing").is_none());
+        let bare = [Value::obj(vec![("t", Value::Num(8.0))])];
+        assert_eq!(compare_runs(&bare, &after, "t").unwrap().1, None);
+    }
+
+    #[test]
+    fn run_figures_follow_the_ratio_paths() {
+        let run = Value::obj(vec![("grid", figure(3.0, 2.0, 4.0))]);
+        let got = run_figures(&run, &[("grid_t", &["grid", "t"]), ("absent", &["x"])]);
+        assert_eq!(
+            got,
+            with_quartiles(Value::obj(vec![]), "grid_t", [2.0, 3.0, 4.0])
         );
     }
 

@@ -73,7 +73,8 @@ impl<'a> Ctx<'a> {
 
     /// Bias + ReLU epilogue, functional and charged.
     pub fn bias_relu(&mut self, x: &Tensor2, bias: &Tensor2) -> Result<Tensor2, GnnError> {
-        let out = x.add_bias(bias)?.relu();
+        let mut out = x.add_bias(bias)?;
+        out.map_inplace(|v| v.max(0.0));
         self.charge_elementwise(x.len(), 2);
         Ok(out)
     }

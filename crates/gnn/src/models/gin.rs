@@ -35,7 +35,7 @@ pub(crate) fn forward(
             OpInfo::aggregation_sum(),
             OpOperands::single(&h),
         )?;
-        let combined = agg.add(&h.scale(1.0 + EPS))?;
+        let combined = agg.add_scaled(&h, 1.0 + EPS)?;
         ctx.charge_elementwise(combined.len(), 3);
 
         // Two-layer MLP: in -> hidden -> out.

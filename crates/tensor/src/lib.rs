@@ -8,8 +8,9 @@
 //!
 //! * [`Tensor2`] — a row-major `f32` matrix with shape-checked element-wise
 //!   and matrix operations,
-//! * [`gemm`] — a straightforward blocked matrix multiply used for functional
-//!   correctness,
+//! * [`gemm`] — the host matrix multiply behind every dense projection: a
+//!   register-blocked kernel whose every output element has the bits of the
+//!   textbook `i-k-j` loop with its zero skip,
 //! * [`GemmCostModel`] — a roofline-style estimate of how long the same GEMM
 //!   would take on a V100 / A100 class GPU, used by the end-to-end benchmarks
 //!   (paper Figs. 13–15) where total inference time = GEMM time + graph-op

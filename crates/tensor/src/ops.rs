@@ -30,6 +30,16 @@ impl Tensor2 {
         self.zip_with("mul", other, |a, b| a * b)
     }
 
+    /// Element-wise `self + other × s` in one pass, with the bits of
+    /// `self.add(&other.scale(s))`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
+    pub fn add_scaled(&self, other: &Self, s: f32) -> Result<Self, TensorError> {
+        self.zip_with("add_scaled", other, |a, b| a + b * s)
+    }
+
     /// Multiplies every element by a scalar.
     pub fn scale(&self, s: f32) -> Self {
         self.map(|x| x * s)
@@ -85,11 +95,23 @@ impl Tensor2 {
     }
 }
 
-/// Blocked matrix multiplication `a × b`.
+/// Register-blocked matrix multiplication `a × b`.
 ///
-/// Uses an `i-k-j` loop order so the innermost loop streams over contiguous
-/// rows of both `b` and the output, which keeps the functional executor fast
-/// enough for the full-scale benchmark datasets.
+/// The output is walked in blocks of up to four rows and column panels of
+/// width 16, 8, 4 and 1; each block's accumulators stay in registers for
+/// the whole `k` loop, so an output element is stored once instead of once
+/// per `k` step.
+///
+/// Every element gets exactly the bits of the textbook `i-k-j` loop that
+/// skips zero lhs entries: it is still `((0 + a₀b₀) + a₁b₁) + …` in
+/// ascending `k` (Rust never contracts this into an FMA). Adding the `±0`
+/// product of a zero lhs entry leaves a partial sum unchanged, because a sum
+/// that starts at `+0.0` can never become `-0.0`; it differs from skipping
+/// only when the rhs row holds an infinity or NaN (`0 × ∞` is NaN). So the
+/// zero skip is kept, per element, only in calls whose rhs has such a row,
+/// and the common all-finite call runs without a data-dependent branch. NaN
+/// payloads are not specified by Rust, so which NaN an element holds may
+/// differ from the loop's.
 ///
 /// # Errors
 ///
@@ -119,21 +141,122 @@ pub fn gemm(a: &Tensor2, b: &Tensor2) -> Result<Tensor2, TensorError> {
     let (m, k) = a.shape();
     let n = b.cols();
     let mut out = Tensor2::zeros(m, n);
-    let bd = b.as_slice();
-    for i in 0..m {
-        let arow = a.row(i);
-        let orow = out.row_mut(i);
-        for (kk, &av) in arow.iter().enumerate().take(k) {
-            if av == 0.0 {
-                continue;
-            }
-            let brow = &bd[kk * n..(kk + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += av * bv;
-            }
-        }
+    if m == 0 || n == 0 {
+        return Ok(out);
+    }
+    // Rows of `b` where skipping a zero lhs entry is not the same as adding
+    // its product.
+    let skip: Vec<bool> = b
+        .iter_rows()
+        .map(|row| !row.iter().all(|v| v.is_finite()))
+        .collect();
+    let g = Gemm {
+        a: a.as_slice(),
+        b: b.as_slice(),
+        k,
+        n,
+        skip: &skip,
+    };
+    if skip.contains(&true) {
+        g.run::<true>(out.as_mut_slice());
+    } else {
+        g.run::<false>(out.as_mut_slice());
     }
     Ok(out)
+}
+
+/// Operands of one [`gemm`] call: row-major `a` (`m × k`) and `b`
+/// (`k × n`), and which rows of `b` keep the zero skip.
+struct Gemm<'a> {
+    a: &'a [f32],
+    b: &'a [f32],
+    k: usize,
+    n: usize,
+    skip: &'a [bool],
+}
+
+impl Gemm<'_> {
+    /// Fills `out` (`m × n`, zeroed) in blocks of four rows, then the last
+    /// `m % 4` rows one by one.
+    fn run<const SKIP: bool>(&self, out: &mut [f32]) {
+        let mut quads = out.chunks_exact_mut(4 * self.n);
+        let mut i = 0;
+        for block in &mut quads {
+            self.rows::<4, SKIP>(i, block);
+            i += 4;
+        }
+        for row in quads.into_remainder().chunks_exact_mut(self.n) {
+            self.rows::<1, SKIP>(i, row);
+            i += 1;
+        }
+    }
+
+    /// Fills the `R` output rows `out` (starting at row `i`) in column
+    /// panels of width 16, 8, 4 and 1.
+    fn rows<const R: usize, const SKIP: bool>(&self, i: usize, out: &mut [f32]) {
+        let mut j = 0;
+        while j + 16 <= self.n {
+            self.panel::<R, 16, SKIP>(i, j, out);
+            j += 16;
+        }
+        if j + 8 <= self.n {
+            self.panel::<R, 8, SKIP>(i, j, out);
+            j += 8;
+        }
+        if j + 4 <= self.n {
+            self.panel::<R, 4, SKIP>(i, j, out);
+            j += 4;
+        }
+        while j < self.n {
+            self.panel::<R, 1, SKIP>(i, j, out);
+            j += 1;
+        }
+    }
+
+    /// Accumulates the `R × W` block at rows `i..i + R` and columns
+    /// `j..j + W` in registers over the whole `k` loop, then stores it once
+    /// into `out` (whose first row is row `i`). Kept out of line so every
+    /// instantiation is register-allocated on its own.
+    #[inline(never)]
+    fn panel<const R: usize, const W: usize, const SKIP: bool>(
+        &self,
+        i: usize,
+        j: usize,
+        out: &mut [f32],
+    ) {
+        let a: [&[f32]; R] = std::array::from_fn(|r| &self.a[(i + r) * self.k..][..self.k]);
+        let mut acc = [[0.0f32; W]; R];
+        for (kk, brow) in self.b.chunks_exact(self.n).enumerate() {
+            let (b4, b1) = brow[j..j + W].as_chunks::<4>();
+            for (acc_r, a_r) in acc.iter_mut().zip(&a) {
+                let av = a_r[kk];
+                if SKIP && av == 0.0 && self.skip[kk] {
+                    continue;
+                }
+                let (o4, o1) = acc_r.as_chunks_mut::<4>();
+                for (o, b) in o4.iter_mut().zip(b4) {
+                    axpy4(o, av, b);
+                }
+                for (o, &bv) in o1.iter_mut().zip(b1) {
+                    *o += av * bv;
+                }
+            }
+        }
+        for (acc_r, orow) in acc.iter().zip(out.chunks_exact_mut(self.n)) {
+            orow[j..j + W].copy_from_slice(acc_r);
+        }
+    }
+}
+
+/// `o += a × b` on one four-lane group. Spelled out lane by lane, which
+/// LLVM turns into one vector multiply and one vector add; a nested lane
+/// loop left some panel widths scalar.
+#[inline(always)]
+fn axpy4(o: &mut [f32; 4], a: f32, b: &[f32; 4]) {
+    o[0] += a * b[0];
+    o[1] += a * b[1];
+    o[2] += a * b[2];
+    o[3] += a * b[3];
 }
 
 #[cfg(test)]
@@ -151,6 +274,19 @@ mod tests {
         assert_eq!(a.add(&b).unwrap().as_slice(), &[5.0, 7.0, 9.0]);
         assert_eq!(b.sub(&a).unwrap().as_slice(), &[3.0, 3.0, 3.0]);
         assert_eq!(a.mul(&b).unwrap().as_slice(), &[4.0, 10.0, 18.0]);
+    }
+
+    #[test]
+    fn add_scaled_matches_add_of_scale() {
+        let a = t(1, 4, &[1.0, -0.0, 3.5, f32::MAX]);
+        let b = t(1, 4, &[0.1, 0.0, -7.25, f32::MAX]);
+        for s in [1.0, 0.3, -2.0] {
+            let fused = a.add_scaled(&b, s).unwrap();
+            let two_pass = a.add(&b.scale(s)).unwrap();
+            let bits = |x: &Tensor2| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fused), bits(&two_pass), "s = {s}");
+        }
+        assert!(a.add_scaled(&Tensor2::zeros(2, 2), 1.0).is_err());
     }
 
     #[test]

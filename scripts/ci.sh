@@ -98,6 +98,11 @@ for slot in ("before", "after", "smoke"):
     # Distinct kernels simulated; the parent-commit `before` run predates it.
     if slot != "before":
         assert 0 < run["grid_search"]["measured"] <= 196, run["grid_search"]
+    # One entry per process run recorded into the slot.
+    assert run["runs"], f"{slot}: no runs"
+    for entry in run["runs"]:
+        for key in ("mean_measure_us", "grid_search_ms"):
+            quartiles(entry, key)
 assert r["smoke"]["smoke"] is True
 for key in ("mean_measure_us", "grid_search_ms"):
     assert r["after_over_before"][key] > 0, key
@@ -119,6 +124,8 @@ def quartiles(obj, key):
     assert 0 < obj[f"{key}_q1"] <= obj[key] <= obj[f"{key}_q3"], (key, obj)
 admit_parts = ("first_admit_us", "admit_us", "fingerprint_us", "validate_us",
                "degree_stats_us", "finite_us")
+gemm_shapes = {(5000, 32, 16, "dense"), (5000, 16, 8, "relu"), (1000, 32, 64, "dense"),
+               (1000, 64, 64, "relu"), (1000, 64, 8, "relu")}
 for slot in ("before", "after", "smoke"):
     run = r[slot]
     assert {c["op"] for c in run["execute"]} == ops, f"{slot}: ops"
@@ -136,10 +143,21 @@ for slot in ("before", "after", "smoke"):
     assert run["feat"] == 32 and run["mean_execute_us"] > 0 and run["mean_admit_us"] > 0
     for key in ("mean_execute_us", "mean_first_admit_us", "mean_admit_us"):
         quartiles(run, key)
+    # Dense GEMM at the gnn-infer layer shapes.
+    assert {(c["m"], c["k"], c["n"], c["lhs"]) for c in run["gemm"]} == gemm_shapes, slot
+    for c in run["gemm"]:
+        quartiles(c, "gemm_us")
+    quartiles(run, "mean_gemm_us")
+    # One entry per process run recorded into the slot.
+    assert run["runs"], f"{slot}: no runs"
+    for entry in run["runs"]:
+        quartiles(entry, "mean_gemm_us")
 assert r["smoke"]["smoke"] is True
 for key in ("mean_execute_us", "mean_first_admit_us", "mean_admit_us"):
     assert r["after_over_before"][key] > 0, key
     assert isinstance(r["iqr_overlap"][key], bool), key
+assert r["after_over_before"]["mean_gemm_us"] > 0
+assert isinstance(r["iqr_overlap"]["mean_gemm_us"], bool)
 print(f'exec JSON ok: {len(r["smoke"]["execute"])} smoke cells, '
       f'{r["smoke"]["mean_execute_us"]:.1f} us/execute, '
       f'{r["smoke"]["mean_admit_us"]:.1f} us/admission')
