@@ -4,7 +4,10 @@
 //! `Tensor2::validate_finite` calls), on three graph sizes at feature
 //! width 32; and of `ugrapher_tensor::gemm` at the layer shapes of the
 //! gnn-infer workload's models (dense lhs for a first layer, ReLU'd lhs,
-//! about half zeros, after an activation). Admission is timed twice:
+//! about half zeros, after an activation), plus one cell whose rhs holds an
+//! infinity, which runs the zero-skip kernels. Each slot records the
+//! instruction-set tier the host kernels ran at (`host_isa`). Admission is
+//! timed twice:
 //! `first_admit_us` wraps a graph whose admission memo is still empty (a
 //! never-admitted clone per call), `admit_us` wraps the same graph again
 //! and again, as repeat requests and op sites do.
@@ -42,23 +45,25 @@ use ugrapher_core::api::GraphTensor;
 use ugrapher_core::exec::{execute, OpOperands};
 use ugrapher_graph::generate::{DegreeModel, GraphSpec};
 use ugrapher_graph::Graph;
-use ugrapher_tensor::{gemm, Tensor2};
+use ugrapher_tensor::{gemm, HostIsa, Tensor2};
 use ugrapher_util::json::Value;
 use ugrapher_util::rng::StdRng;
 
 const FEAT: usize = 32;
 const REPS: usize = 7;
 
-/// The gnn-infer layer shapes `(m, k, n, relu)`, with `m` a typical vertex
-/// count: GCN and SAGE-mean project 32 input features to 16 and, after a
-/// ReLU, 16 to 8 classes; GIN and GAT, on graphs about a fifth the size,
-/// run 32 to 64, 64 to 64 and 64 to 8.
-const GEMM_SHAPES: [(usize, usize, usize, bool); 5] = [
-    (5000, 32, 16, false),
-    (5000, 16, 8, true),
-    (1000, 32, 64, false),
-    (1000, 64, 64, true),
-    (1000, 64, 8, true),
+/// The gnn-infer layer shapes `(m, k, n, relu, finite)`, with `m` a
+/// typical vertex count: GCN and SAGE-mean project 32 input features to 16
+/// and, after a ReLU, 16 to 8 classes; GIN and GAT, on graphs about a fifth
+/// the size, run 32 to 64, 64 to 64 and 64 to 8. The last cell repeats
+/// 64 to 64 with one infinity in the rhs, which keeps the zero skip.
+const GEMM_SHAPES: [(usize, usize, usize, bool, bool); 6] = [
+    (5000, 32, 16, false, true),
+    (5000, 16, 8, true, true),
+    (1000, 32, 64, false, true),
+    (1000, 64, 64, true, true),
+    (1000, 64, 8, true, true),
+    (1000, 64, 64, true, false),
 ];
 
 /// The benchmark's graphs, by name: serve-sized small and medium graphs
@@ -241,19 +246,24 @@ fn main() {
     let mut gemm_cells = Vec::new();
     let mut gemm_rows = Vec::new();
     let mut gemm_quartiles = Vec::new();
-    for (seed, &(m, k, n, relu)) in (10..).zip(&GEMM_SHAPES) {
+    for (seed, &(m, k, n, relu, finite)) in (10..).zip(&GEMM_SHAPES) {
         let lhs = tensor(m, k, seed);
         let a = if relu { lhs.relu() } else { lhs };
-        let b = tensor(k, n, seed + 100);
+        let mut b = tensor(k, n, seed + 100);
+        if !finite {
+            b.as_mut_slice()[0] = f32::INFINITY;
+        }
         let us = time_us(reps, min_time, || {
             black_box(gemm(black_box(&a), black_box(&b)).unwrap());
         });
         let kind = if relu { "relu" } else { "dense" };
+        let rhs = if finite { "finite" } else { "nonfinite" };
         gemm_rows.push(vec![
             m.to_string(),
             k.to_string(),
             n.to_string(),
             kind.to_owned(),
+            rhs.to_owned(),
             format!("{:.1}", us[1]),
         ]);
         gemm_quartiles.push(us);
@@ -263,6 +273,7 @@ fn main() {
                 ("k", Value::Num(k as f64)),
                 ("n", Value::Num(n as f64)),
                 ("lhs", Value::Str(kind.to_owned())),
+                ("rhs", Value::Str(rhs.to_owned())),
             ]),
             "gemm_us",
             us,
@@ -291,16 +302,17 @@ fn main() {
     );
     print_table(
         &format!("gemm host time ({slot})"),
-        &["m", "k", "n", "lhs", "us/gemm"],
+        &["m", "k", "n", "lhs", "rhs", "us/gemm"],
         &gemm_rows,
     );
     let mean_execute_us = mean_quartiles(&exec_quartiles);
     let mean_first_admit_us = mean_quartiles(&first_admit_quartiles);
     let mean_admit_us = mean_quartiles(&admit_quartiles);
     let mean_gemm_us = mean_quartiles(&gemm_quartiles);
+    let host_isa = HostIsa::detect().name();
     println!(
         "mean over cells: {:.1} us/execute, {:.1} us/first admission, {:.1} us/admission, \
-         {:.1} us/gemm",
+         {:.1} us/gemm; host kernels at {host_isa}",
         mean_execute_us[1], mean_first_admit_us[1], mean_admit_us[1], mean_gemm_us[1]
     );
 
@@ -309,6 +321,7 @@ fn main() {
         ("smoke", Value::Bool(smoke)),
         ("reps", Value::Num(reps as f64)),
         ("host_threads", Value::Num(threads as f64)),
+        ("host_isa", Value::Str(host_isa.to_owned())),
         ("feat", Value::Num(FEAT as f64)),
         ("execute", Value::Arr(exec_cells)),
         ("admit", Value::Arr(admit_cells)),

@@ -1,7 +1,7 @@
 //! Schedule-independent functional evaluation of graph operators.
 
 use ugrapher_graph::Graph;
-use ugrapher_tensor::Tensor2;
+use ugrapher_tensor::{HostIsa, Tensor2};
 
 use crate::abstraction::{EdgeOp, GatherOp, OpInfo, TensorType};
 use crate::CoreError;
@@ -190,7 +190,7 @@ fn execute_inner(
     let mut out = Tensor2::full(out_rows, feat, init);
     let a = Operand::new(op.a, operands.a, feat);
     let b = Operand::new(op.b, operands.b, feat);
-    specialise(op.edge_op, op.gather_op, a.full, b.full)(
+    specialise(HostIsa::detect(), op.edge_op, op.gather_op, a.full, b.full)(
         graph,
         a,
         b,
@@ -269,41 +269,117 @@ impl<'a> Operand<'a> {
 type EdgeLoop = fn(&Graph, Operand<'_>, Operand<'_>, TensorType, usize, &mut [f32]);
 
 /// Picks the edge loop specialised for `(edge_op, gather_op)` and the
-/// operand widths. `E` and `G` index [`EdgeOp::ALL`] and [`GatherOp::ALL`].
-/// A mean folds exactly like a sum (its division is the post-pass), so the
-/// two share instances; no valid operator gathers with `CopyLhs`.
-fn specialise(edge_op: EdgeOp, gather_op: GatherOp, a_full: bool, b_full: bool) -> EdgeLoop {
-    fn widths<const E: usize, const G: usize>(a_full: bool, b_full: bool) -> EdgeLoop {
-        match (a_full, b_full) {
-            (true, true) => edge_loop::<E, G, true, true>,
-            (true, false) => edge_loop::<E, G, true, false>,
-            (false, true) => edge_loop::<E, G, false, true>,
-            (false, false) => edge_loop::<E, G, false, false>,
+/// operand widths, at tier `isa` (portable, or AVX2 if the CPU has it).
+/// `E` and `G` index [`EdgeOp::ALL`] and [`GatherOp::ALL`]. A mean folds
+/// exactly like a sum (its division is the post-pass), so the two share
+/// instances; no valid operator gathers with `CopyLhs`.
+fn specialise(
+    isa: HostIsa,
+    edge_op: EdgeOp,
+    gather_op: GatherOp,
+    a_full: bool,
+    b_full: bool,
+) -> EdgeLoop {
+    fn tier<const E: usize, const G: usize, const A_FULL: bool, const B_FULL: bool>(
+        isa: HostIsa,
+    ) -> EdgeLoop {
+        match isa {
+            HostIsa::Portable => edge_loop_portable::<E, G, A_FULL, B_FULL>,
+            HostIsa::Avx2 => edge_loop_wide::<E, G, A_FULL, B_FULL>,
         }
     }
-    fn gather<const E: usize>(gather_op: GatherOp, a_full: bool, b_full: bool) -> EdgeLoop {
+    fn widths<const E: usize, const G: usize>(
+        isa: HostIsa,
+        a_full: bool,
+        b_full: bool,
+    ) -> EdgeLoop {
+        match (a_full, b_full) {
+            (true, true) => tier::<E, G, true, true>(isa),
+            (true, false) => tier::<E, G, true, false>(isa),
+            (false, true) => tier::<E, G, false, true>(isa),
+            (false, false) => tier::<E, G, false, false>(isa),
+        }
+    }
+    fn gather<const E: usize>(
+        isa: HostIsa,
+        gather_op: GatherOp,
+        a_full: bool,
+        b_full: bool,
+    ) -> EdgeLoop {
         match gather_op {
             GatherOp::CopyLhs => unreachable!("validate() rejects a CopyLhs gather"),
-            GatherOp::CopyRhs => widths::<E, 1>(a_full, b_full),
-            GatherOp::Sum | GatherOp::Mean => widths::<E, 2>(a_full, b_full),
-            GatherOp::Max => widths::<E, 3>(a_full, b_full),
-            GatherOp::Min => widths::<E, 4>(a_full, b_full),
+            GatherOp::CopyRhs => widths::<E, 1>(isa, a_full, b_full),
+            GatherOp::Sum | GatherOp::Mean => widths::<E, 2>(isa, a_full, b_full),
+            GatherOp::Max => widths::<E, 3>(isa, a_full, b_full),
+            GatherOp::Min => widths::<E, 4>(isa, a_full, b_full),
         }
     }
     match edge_op {
-        EdgeOp::CopyLhs => gather::<0>(gather_op, a_full, b_full),
-        EdgeOp::CopyRhs => gather::<1>(gather_op, a_full, b_full),
-        EdgeOp::Add => gather::<2>(gather_op, a_full, b_full),
-        EdgeOp::Sub => gather::<3>(gather_op, a_full, b_full),
-        EdgeOp::Mul => gather::<4>(gather_op, a_full, b_full),
-        EdgeOp::Div => gather::<5>(gather_op, a_full, b_full),
+        EdgeOp::CopyLhs => gather::<0>(isa, gather_op, a_full, b_full),
+        EdgeOp::CopyRhs => gather::<1>(isa, gather_op, a_full, b_full),
+        EdgeOp::Add => gather::<2>(isa, gather_op, a_full, b_full),
+        EdgeOp::Sub => gather::<3>(isa, gather_op, a_full, b_full),
+        EdgeOp::Mul => gather::<4>(isa, gather_op, a_full, b_full),
+        EdgeOp::Div => gather::<5>(isa, gather_op, a_full, b_full),
     }
+}
+
+/// [`edge_loop`] at the AVX2 tier if the CPU has it, else at the portable
+/// one.
+fn edge_loop_wide<const E: usize, const G: usize, const A_FULL: bool, const B_FULL: bool>(
+    graph: &Graph,
+    a: Operand<'_>,
+    b: Operand<'_>,
+    c: TensorType,
+    feat: usize,
+    out: &mut [f32],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `edge_loop_avx2` needs no CPU feature beyond AVX2, and
+        // `is_x86_feature_detected!("avx2")` has just reported it.
+        return unsafe { edge_loop_avx2::<E, G, A_FULL, B_FULL>(graph, a, b, c, feat, out) };
+    }
+    edge_loop_portable::<E, G, A_FULL, B_FULL>(graph, a, b, c, feat, out);
+}
+
+/// [`edge_loop`] for the build target's baseline features.
+#[inline(never)]
+fn edge_loop_portable<const E: usize, const G: usize, const A_FULL: bool, const B_FULL: bool>(
+    graph: &Graph,
+    a: Operand<'_>,
+    b: Operand<'_>,
+    c: TensorType,
+    feat: usize,
+    out: &mut [f32],
+) {
+    edge_loop::<E, G, A_FULL, B_FULL>(graph, a, b, c, feat, out);
+}
+
+/// [`edge_loop`] compiled for AVX2 (eight-lane vectors). Running it on a
+/// CPU without AVX2 is undefined behaviour, so its one caller,
+/// [`edge_loop_wide`], checks `is_x86_feature_detected!("avx2")` first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline(never)]
+fn edge_loop_avx2<const E: usize, const G: usize, const A_FULL: bool, const B_FULL: bool>(
+    graph: &Graph,
+    a: Operand<'_>,
+    b: Operand<'_>,
+    c: TensorType,
+    feat: usize,
+    out: &mut [f32],
+) {
+    edge_loop::<E, G, A_FULL, B_FULL>(graph, a, b, c, feat, out);
 }
 
 /// The §3 loop nest for one constant `(edge_op, gather_op)` pair and
 /// operand widths: destinations in order, each one's in-edges in CSR slot
 /// order, then `C = gather_op(C, edge_op(A, B))` per feature element. The
-/// ops are constants here, so their `apply` matches fold away.
+/// ops are constants here, so their `apply` matches fold away, and the
+/// feature loop is a bounds-check-free `zip` that LLVM vectorises. Always
+/// inlined into one wrapper per tier, which picks the vector width.
+#[inline(always)]
 fn edge_loop<const E: usize, const G: usize, const A_FULL: bool, const B_FULL: bool>(
     graph: &Graph,
     a: Operand<'_>,
@@ -314,6 +390,7 @@ fn edge_loop<const E: usize, const G: usize, const A_FULL: bool, const B_FULL: b
 ) {
     let edge_op = EdgeOp::ALL[E];
     let gather_op = GatherOp::ALL[G];
+    let fold = |cv: &mut f32, av: f32, bv: f32| *cv = gather_op.apply(*cv, edge_op.apply(av, bv));
     let a_width = if A_FULL { feat } else { 1 };
     let b_width = if B_FULL { feat } else { 1 };
     let (in_ptr, in_src, in_eid) = (graph.in_ptr(), graph.in_src(), graph.in_eid());
@@ -328,10 +405,31 @@ fn edge_loop<const E: usize, const G: usize, const A_FULL: bool, const B_FULL: b
                 _ => dst,
             };
             let c_row = &mut out[c_row * feat..][..feat];
-            for (f, cv) in c_row.iter_mut().enumerate() {
-                let av = if A_FULL { a_row[f] } else { a_row[0] };
-                let bv = if B_FULL { b_row[f] } else { b_row[0] };
-                *cv = gather_op.apply(*cv, edge_op.apply(av, bv));
+            // A one-element (broadcast) operand is read once per edge.
+            match (A_FULL, B_FULL) {
+                (true, true) => {
+                    for ((cv, &av), &bv) in c_row.iter_mut().zip(a_row).zip(b_row) {
+                        fold(cv, av, bv);
+                    }
+                }
+                (true, false) => {
+                    let bv = b_row[0];
+                    for (cv, &av) in c_row.iter_mut().zip(a_row) {
+                        fold(cv, av, bv);
+                    }
+                }
+                (false, true) => {
+                    let av = a_row[0];
+                    for (cv, &bv) in c_row.iter_mut().zip(b_row) {
+                        fold(cv, av, bv);
+                    }
+                }
+                (false, false) => {
+                    let (av, bv) = (a_row[0], b_row[0]);
+                    for cv in c_row {
+                        fold(cv, av, bv);
+                    }
+                }
             }
         }
     }
@@ -511,15 +609,100 @@ mod tests {
         let a = Operand::new(TensorType::SrcV, Some(&x), 3);
         let b = Operand::new(TensorType::Null, None, 3);
         let mut out = [1.0; 3];
-        specialise(EdgeOp::Add, GatherOp::CopyRhs, a.full, b.full)(
-            &g,
-            a,
-            b,
-            TensorType::Edge,
-            3,
-            &mut out,
-        );
+        specialise(
+            HostIsa::Portable,
+            EdgeOp::Add,
+            GatherOp::CopyRhs,
+            a.full,
+            b.full,
+        )(&g, a, b, TensorType::Edge, 3, &mut out);
         assert_eq!(out.map(f32::to_bits), [0.0f32.to_bits(); 3]);
+    }
+
+    /// The portable and AVX2 instances of every edge loop `specialise`
+    /// can return give the same bits, on a power-law graph with multi-edges
+    /// at feature widths around the four- and eight-lane boundaries. Inputs
+    /// and the starting output mix `±0.0`, `±∞` and NaN into ordinary
+    /// values, so Max and Min compare signed zeros and NaNs: the vector
+    /// `maxnum`/`minnum` must match the scalar lowering. NaNs compare as
+    /// one pattern, since Rust leaves NaN payloads unspecified.
+    #[test]
+    fn avx2_tier_is_bitwise_equal_to_portable() {
+        if HostIsa::detect() != HostIsa::Avx2 {
+            eprintln!("note: this CPU has no AVX2, so the AVX2 edge loops are not compared");
+            return;
+        }
+        const SPECIAL: [f32; 6] = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 1.0];
+        let g = ugrapher_graph::generate::GraphSpec {
+            num_vertices: 24,
+            num_edges: 96,
+            degree_model: ugrapher_graph::generate::DegreeModel::PowerLaw { alpha: 1.6 },
+            locality: 0.2,
+            seed: 3,
+        }
+        .build();
+        let mut rng = ugrapher_util::rng::StdRng::seed_from_u64(23);
+        let mut values = |rows: usize, cols: usize| {
+            Tensor2::from_fn(rows, cols, |_, _| {
+                if rng.random_range(0..3u32) == 0 {
+                    SPECIAL[rng.random_range(0..SPECIAL.len())]
+                } else {
+                    rng.random::<f32>() * 4.0 - 2.0
+                }
+            })
+        };
+        let bits = |out: &[f32]| -> Vec<u32> {
+            out.iter()
+                .map(|v| if v.is_nan() { f32::NAN } else { *v }.to_bits())
+                .collect()
+        };
+        let (nv, ne) = (g.num_vertices(), g.num_edges());
+        let gathers = [
+            GatherOp::CopyRhs,
+            GatherOp::Sum,
+            GatherOp::Max,
+            GatherOp::Min,
+        ];
+        for feat in [1, 3, 8, 16, 17, 32, 33] {
+            for edge_op in EdgeOp::ALL {
+                for gather_op in gathers {
+                    for (a_full, b_full) in
+                        [(true, true), (true, false), (false, true), (false, false)]
+                    {
+                        let x = values(nv, if a_full { feat } else { 1 });
+                        let w = values(ne, if b_full { feat } else { 1 });
+                        let a = Operand {
+                            data: x.as_slice(),
+                            index: TensorType::SrcV,
+                            full: a_full,
+                        };
+                        let b = Operand {
+                            data: w.as_slice(),
+                            index: TensorType::Edge,
+                            full: b_full,
+                        };
+                        let c = if gather_op == GatherOp::CopyRhs {
+                            TensorType::Edge
+                        } else {
+                            TensorType::DstV
+                        };
+                        let start = values(if c == TensorType::Edge { ne } else { nv }, feat);
+                        let run = |isa| {
+                            let mut out = start.as_slice().to_vec();
+                            specialise(isa, edge_op, gather_op, a_full, b_full)(
+                                &g, a, b, c, feat, &mut out,
+                            );
+                            bits(&out)
+                        };
+                        assert_eq!(
+                            run(HostIsa::Portable),
+                            run(HostIsa::Avx2),
+                            "{edge_op:?} {gather_op:?}, feat {feat}, full A {a_full} B {b_full}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -97,21 +97,27 @@ impl Recorder {
     pub fn span_traced(&self, name: &'static str, kind: SpanKind, trace_id: u64) -> SpanGuard {
         match &self.inner {
             None => SpanGuard { active: None },
-            Some(inner) => SpanGuard {
-                active: Some(ActiveSpan {
-                    inner: Arc::clone(inner),
-                    started: Instant::now(),
-                    span: Span {
-                        name,
-                        kind,
-                        trace_id,
-                        start_ns: inner.epoch.elapsed().as_nanos() as u64,
-                        dur_ns: 0,
-                        tid: current_tid(),
-                        attrs: Vec::new(),
-                    },
-                }),
-            },
+            Some(inner) => {
+                // One clock read: `start_ns` and the duration measured on
+                // drop share it, so a span ends at `epoch + start + dur`
+                // exactly and nested intervals nest.
+                let started = Instant::now();
+                SpanGuard {
+                    active: Some(ActiveSpan {
+                        inner: Arc::clone(inner),
+                        started,
+                        span: Span {
+                            name,
+                            kind,
+                            trace_id,
+                            start_ns: started.duration_since(inner.epoch).as_nanos() as u64,
+                            dur_ns: 0,
+                            tid: current_tid(),
+                            attrs: Vec::new(),
+                        },
+                    }),
+                }
+            }
         }
     }
 
@@ -421,6 +427,34 @@ mod tests {
         assert_eq!(inner.name, "inner");
         assert!(outer.start_ns <= inner.start_ns);
         assert!(outer.end_ns() >= inner.end_ns());
+    }
+
+    #[test]
+    fn deeply_nested_spans_nest_their_intervals() {
+        const DEPTH: usize = 1000;
+        let mut b = Recorder::builder();
+        let ring = b.ring(DEPTH);
+        let rec = b.build();
+        let mut open: Vec<SpanGuard> = (0..DEPTH)
+            .map(|_| rec.span("level", SpanKind::Other))
+            .collect();
+        while let Some(guard) = open.pop() {
+            drop(guard);
+        }
+        // The innermost span records first; each next one encloses it.
+        let spans = ring.snapshot();
+        assert_eq!(spans.len(), DEPTH);
+        for (level, pair) in spans.windows(2).enumerate() {
+            let (inner, outer) = (&pair[0], &pair[1]);
+            assert!(
+                outer.start_ns <= inner.start_ns && inner.end_ns() <= outer.end_ns(),
+                "level {level}: [{}, {}] not inside [{}, {}]",
+                inner.start_ns,
+                inner.end_ns(),
+                outer.start_ns,
+                outer.end_ns()
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   and matrix operations,
 //! * [`gemm`] — the host matrix multiply behind every dense projection: a
 //!   register-blocked kernel whose every output element has the bits of the
-//!   textbook `i-k-j` loop with its zero skip,
+//!   textbook `i-k-j` loop with its zero skip, compiled once per
+//!   [`HostIsa`] tier and run at the widest one the CPU supports,
 //! * [`GemmCostModel`] — a roofline-style estimate of how long the same GEMM
 //!   would take on a V100 / A100 class GPU, used by the end-to-end benchmarks
 //!   (paper Figs. 13–15) where total inference time = GEMM time + graph-op
@@ -32,10 +33,12 @@
 
 mod cost;
 mod error;
+mod isa;
 mod ops;
 mod tensor;
 
 pub use cost::{GemmCostModel, GemmDevice};
 pub use error::TensorError;
+pub use isa::HostIsa;
 pub use ops::gemm;
 pub use tensor::Tensor2;

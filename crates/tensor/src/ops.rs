@@ -1,6 +1,6 @@
 //! Element-wise and matrix operations on [`Tensor2`].
 
-use crate::{Tensor2, TensorError};
+use crate::{HostIsa, Tensor2, TensorError};
 
 impl Tensor2 {
     /// Element-wise addition.
@@ -100,16 +100,18 @@ impl Tensor2 {
 /// The output is walked in blocks of up to four rows and column panels of
 /// width 16, 8, 4 and 1; each block's accumulators stay in registers for
 /// the whole `k` loop, so an output element is stored once instead of once
-/// per `k` step.
+/// per `k` step. The panel kernel is compiled for each [`HostIsa`] tier and
+/// runs at the widest one the CPU supports.
 ///
 /// Every element gets exactly the bits of the textbook `i-k-j` loop that
 /// skips zero lhs entries: it is still `((0 + a₀b₀) + a₁b₁) + …` in
-/// ascending `k` (Rust never contracts this into an FMA). Adding the `±0`
-/// product of a zero lhs entry leaves a partial sum unchanged, because a sum
-/// that starts at `+0.0` can never become `-0.0`; it differs from skipping
-/// only when the rhs row holds an infinity or NaN (`0 × ∞` is NaN). So the
-/// zero skip is kept, per element, only in calls whose rhs has such a row,
-/// and the common all-finite call runs without a data-dependent branch. NaN
+/// ascending `k` (Rust never contracts this into an FMA, at any tier).
+/// Adding the `±0` product of a zero lhs entry leaves a partial sum
+/// unchanged, because a sum that starts at `+0.0` can never become `-0.0`;
+/// it differs from skipping only when the rhs row holds an infinity or NaN
+/// (`0 × ∞` is NaN). So in calls whose rhs has such a row, a zero lhs entry
+/// against it is multiplied by a zero row instead, which adds `±0` and
+/// changes no bit; the common all-finite call needs no such mask. NaN
 /// payloads are not specified by Rust, so which NaN an element holds may
 /// differ from the loop's.
 ///
@@ -131,6 +133,11 @@ impl Tensor2 {
 /// # }
 /// ```
 pub fn gemm(a: &Tensor2, b: &Tensor2) -> Result<Tensor2, TensorError> {
+    gemm_on(a, b, HostIsa::detect())
+}
+
+/// [`gemm`] at tier `isa`, or at the portable tier if the CPU lacks `isa`.
+fn gemm_on(a: &Tensor2, b: &Tensor2, isa: HostIsa) -> Result<Tensor2, TensorError> {
     if a.cols() != b.rows() {
         return Err(TensorError::ShapeMismatch {
             op: "matmul",
@@ -156,6 +163,7 @@ pub fn gemm(a: &Tensor2, b: &Tensor2) -> Result<Tensor2, TensorError> {
         k,
         n,
         skip: &skip,
+        isa,
     };
     if skip.contains(&true) {
         g.run::<true>(out.as_mut_slice());
@@ -166,13 +174,15 @@ pub fn gemm(a: &Tensor2, b: &Tensor2) -> Result<Tensor2, TensorError> {
 }
 
 /// Operands of one [`gemm`] call: row-major `a` (`m × k`) and `b`
-/// (`k × n`), and which rows of `b` keep the zero skip.
+/// (`k × n`), which rows of `b` keep the zero skip, and the tier to run.
 struct Gemm<'a> {
     a: &'a [f32],
     b: &'a [f32],
     k: usize,
     n: usize,
     skip: &'a [bool],
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    isa: HostIsa,
 }
 
 impl Gemm<'_> {
@@ -213,12 +223,57 @@ impl Gemm<'_> {
         }
     }
 
+    /// Runs one panel at the AVX2 tier if `self.isa` asks for it and the
+    /// CPU has it, else at the portable tier.
+    #[inline(always)]
+    fn panel<const R: usize, const W: usize, const SKIP: bool>(
+        &self,
+        i: usize,
+        j: usize,
+        out: &mut [f32],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if self.isa == HostIsa::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `panel_avx2` needs no CPU feature beyond AVX2, and
+            // `is_x86_feature_detected!("avx2")` has just reported it.
+            return unsafe { self.panel_avx2::<R, W, SKIP>(i, j, out) };
+        }
+        self.panel_portable::<R, W, SKIP>(i, j, out);
+    }
+
+    /// [`Gemm::panel_body`] for the build target's baseline features. Kept
+    /// out of line so every instantiation is register-allocated on its own.
+    #[inline(never)]
+    fn panel_portable<const R: usize, const W: usize, const SKIP: bool>(
+        &self,
+        i: usize,
+        j: usize,
+        out: &mut [f32],
+    ) {
+        self.panel_body::<R, W, SKIP>(i, j, out);
+    }
+
+    /// [`Gemm::panel_body`] compiled for AVX2 (eight-lane vectors). Running
+    /// it on a CPU without AVX2 is undefined behaviour, so its one caller
+    /// checks `is_x86_feature_detected!("avx2")` first.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    #[inline(never)]
+    fn panel_avx2<const R: usize, const W: usize, const SKIP: bool>(
+        &self,
+        i: usize,
+        j: usize,
+        out: &mut [f32],
+    ) {
+        self.panel_body::<R, W, SKIP>(i, j, out);
+    }
+
     /// Accumulates the `R × W` block at rows `i..i + R` and columns
     /// `j..j + W` in registers over the whole `k` loop, then stores it once
-    /// into `out` (whose first row is row `i`). Kept out of line so every
-    /// instantiation is register-allocated on its own.
-    #[inline(never)]
-    fn panel<const R: usize, const W: usize, const SKIP: bool>(
+    /// into `out` (whose first row is row `i`). Always inlined into one
+    /// wrapper per tier, which picks the vector width.
+    #[inline(always)]
+    fn panel_body<const R: usize, const W: usize, const SKIP: bool>(
         &self,
         i: usize,
         j: usize,
@@ -228,17 +283,24 @@ impl Gemm<'_> {
         let mut acc = [[0.0f32; W]; R];
         for (kk, brow) in self.b.chunks_exact(self.n).enumerate() {
             let (b4, b1) = brow[j..j + W].as_chunks::<4>();
+            let skip = SKIP && self.skip[kk];
             for (acc_r, a_r) in acc.iter_mut().zip(&a) {
                 let av = a_r[kk];
-                if SKIP && av == 0.0 && self.skip[kk] {
-                    continue;
-                }
+                // The zero skip as a mask that zeroes the rhs lanes, not a
+                // branch, so both paths vectorise. `black_box` hides that
+                // the mask is all or nothing: LLVM otherwise turns it back
+                // into a branch and leaves the accumulators scalar.
+                let keep = if SKIP {
+                    std::hint::black_box(u32::from(!(skip & (av == 0.0))).wrapping_neg())
+                } else {
+                    u32::MAX
+                };
                 let (o4, o1) = acc_r.as_chunks_mut::<4>();
                 for (o, b) in o4.iter_mut().zip(b4) {
-                    axpy4(o, av, b);
+                    axpy4(o, av, b, keep);
                 }
                 for (o, &bv) in o1.iter_mut().zip(b1) {
-                    *o += av * bv;
+                    *o += av * f32::from_bits(bv.to_bits() & keep);
                 }
             }
         }
@@ -248,20 +310,23 @@ impl Gemm<'_> {
     }
 }
 
-/// `o += a × b` on one four-lane group. Spelled out lane by lane, which
-/// LLVM turns into one vector multiply and one vector add; a nested lane
-/// loop left some panel widths scalar.
+/// `o += a × (b & keep)` on one four-lane group: `o += a × b` when `keep`
+/// is all ones, and an add of `a × +0.0 = ±0`, which leaves `o` unchanged,
+/// when it is zero. Spelled out lane by lane, which LLVM turns into one
+/// vector and (gone when `keep` is the constant all-ones), multiply and
+/// add; a nested lane loop left some panel widths scalar.
 #[inline(always)]
-fn axpy4(o: &mut [f32; 4], a: f32, b: &[f32; 4]) {
-    o[0] += a * b[0];
-    o[1] += a * b[1];
-    o[2] += a * b[2];
-    o[3] += a * b[3];
+fn axpy4(o: &mut [f32; 4], a: f32, b: &[f32; 4], keep: u32) {
+    o[0] += a * f32::from_bits(b[0].to_bits() & keep);
+    o[1] += a * f32::from_bits(b[1].to_bits() & keep);
+    o[2] += a * f32::from_bits(b[2].to_bits() & keep);
+    o[3] += a * f32::from_bits(b[3].to_bits() & keep);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ugrapher_util::rng::StdRng;
 
     fn t(rows: usize, cols: usize, v: &[f32]) -> Tensor2 {
         Tensor2::from_vec(rows, cols, v.to_vec()).unwrap()
@@ -336,6 +401,66 @@ mod tests {
             a.matmul(&b),
             Err(TensorError::ShapeMismatch { op: "matmul", .. })
         ));
+    }
+
+    /// Output bits, with every NaN read as one pattern: Rust leaves NaN
+    /// payloads unspecified.
+    fn bits(t: &Tensor2) -> Vec<u32> {
+        t.as_slice()
+            .iter()
+            .map(|v| if v.is_nan() { f32::NAN } else { *v }.to_bits())
+            .collect()
+    }
+
+    /// The portable and AVX2 instances of every `R`/`W`/`SKIP` panel give
+    /// the same bits. `m` crosses four-row blocks and single-row
+    /// remainders, `n = 31` runs every panel width (16 + 8 + 4 + 1 + 1 + 1),
+    /// and the rhs is all finite (`SKIP = false`) or has non-finite rows
+    /// (`SKIP = true`). Values mix `±0.0`, subnormals, `f32::MAX`, `±∞` and
+    /// NaN into ordinary magnitudes.
+    #[test]
+    fn avx2_tier_is_bitwise_equal_to_portable() {
+        if HostIsa::detect() != HostIsa::Avx2 {
+            eprintln!("note: this CPU has no AVX2, so the AVX2 GEMM tier is not compared");
+            return;
+        }
+        const SPECIAL: [f32; 8] = [
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE / 4.0,
+            f32::MAX,
+            -1.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        let mut rng = StdRng::seed_from_u64(19);
+        // A quarter of the values from SPECIAL's first `specials` entries.
+        let mut values = |rows: usize, cols: usize, specials: usize| {
+            Tensor2::from_fn(rows, cols, |_, _| {
+                if rng.random_range(0..4u32) == 0 {
+                    SPECIAL[rng.random_range(0..specials)]
+                } else {
+                    rng.random::<f32>() * 4.0 - 2.0
+                }
+            })
+        };
+        let mut skip_calls = 0;
+        for m in [1, 3, 4, 5, 8, 9] {
+            for n in [1, 4, 8, 16, 31] {
+                for k in [0, 1, 7, 33] {
+                    for rhs_specials in [5, SPECIAL.len()] {
+                        let a = values(m, k, SPECIAL.len());
+                        let b = values(k, n, rhs_specials);
+                        skip_calls += usize::from(b.as_slice().iter().any(|v| !v.is_finite()));
+                        let portable = gemm_on(&a, &b, HostIsa::Portable).unwrap();
+                        let avx2 = gemm_on(&a, &b, HostIsa::Avx2).unwrap();
+                        assert_eq!(bits(&portable), bits(&avx2), "m {m}, k {k}, n {n}");
+                    }
+                }
+            }
+        }
+        assert!(skip_calls > 50, "only {skip_calls} calls ran the zero skip");
     }
 
     #[test]

@@ -126,6 +126,10 @@ admit_parts = ("first_admit_us", "admit_us", "fingerprint_us", "validate_us",
                "degree_stats_us", "finite_us")
 gemm_shapes = {(5000, 32, 16, "dense"), (5000, 16, 8, "relu"), (1000, 32, 64, "dense"),
                (1000, 64, 64, "relu"), (1000, 64, 8, "relu")}
+# The same shapes with the rhs kind, plus one rhs holding an infinity (the
+# zero-skip kernels).
+gemm_cells = sorted([(m, k, n, lhs, "finite") for (m, k, n, lhs) in gemm_shapes]
+                    + [(1000, 64, 64, "relu", "nonfinite")])
 for slot in ("before", "after", "smoke"):
     run = r[slot]
     assert {c["op"] for c in run["execute"]} == ops, f"{slot}: ops"
@@ -145,6 +149,9 @@ for slot in ("before", "after", "smoke"):
         quartiles(run, key)
     # Dense GEMM at the gnn-infer layer shapes.
     assert {(c["m"], c["k"], c["n"], c["lhs"]) for c in run["gemm"]} == gemm_shapes, slot
+    assert sorted((c["m"], c["k"], c["n"], c["lhs"], c["rhs"]) for c in run["gemm"]) == gemm_cells, slot
+    # The instruction-set tier the host kernels ran at.
+    assert run["host_isa"] in ("portable", "avx2"), (slot, run["host_isa"])
     for c in run["gemm"]:
         quartiles(c, "gemm_us")
     quartiles(run, "mean_gemm_us")
