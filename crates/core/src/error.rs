@@ -78,10 +78,10 @@ pub enum CoreError {
         /// Why tuning could not produce a schedule.
         reason: String,
     },
-    /// A [`TuneBudget`](crate::tune::TuneBudget) expired before even one
-    /// candidate could be measured, so there is no best-so-far to return.
+    /// A [`TuneBudget`](crate::tune::TuneBudget) admitted zero
+    /// candidates, so there is no best-so-far to return.
     BudgetExceeded {
-        /// Which budget expired and where.
+        /// Which budget and how many candidates it cut.
         reason: String,
     },
     /// A bug inside the library reached the panic shield. The process

@@ -23,9 +23,9 @@
 //!   [`Store`](crate::ir::Store) names; an atomic store updates rows with
 //!   [`KernelSim::atomic`], tracking per-destination conflict chains.
 //!
-//! Tracing can be *sampled* ([`Fidelity::Sampled`]): only every `stride`-th
-//! block is walked and the simulator scales counts back up, which is what
-//! makes grid-search tuning affordable (DESIGN.md §7).
+//! Tracing can be *sampled* ([`Fidelity::Auto`]): only every `stride`-th
+//! block (and warp) is walked and the simulator scales counts back up,
+//! which is what makes grid-search tuning affordable (DESIGN.md §7).
 
 use ugrapher_graph::Graph;
 use ugrapher_obs::{metrics, MetricsRegistry, Recorder, SpanKind};
@@ -46,10 +46,9 @@ use crate::plan::KernelPlan;
 pub enum Fidelity {
     /// Trace every block.
     Full,
-    /// Trace every `stride`-th block (adjusted to be coprime with the SM
-    /// count so sampling does not alias with round-robin dispatch).
-    Sampled(usize),
-    /// Pick a stride so that roughly 1024 blocks are traced.
+    /// Trace every `stride`-th block, picking a stride (coprime with the SM
+    /// count so sampling does not alias with round-robin dispatch) that
+    /// bounds the traced work.
     Auto,
 }
 
@@ -269,7 +268,6 @@ fn resolve_sampling(
     };
     let mut block_stride = match fidelity {
         Fidelity::Full => return (1, 1),
-        Fidelity::Sampled(s) => return (coprime(s.max(1)), 1),
         Fidelity::Auto => coprime((grid_blocks / AUTO_BLOCK_TARGET).max(1)),
     };
     let mut warp_stride = 1usize;
@@ -1022,19 +1020,28 @@ mod tests {
 
     #[test]
     fn sampled_fidelity_approximates_full() {
-        let g = uniform_random(4000, 40_000, 6);
+        // 200k edges make 782 thread-edge blocks, so Auto traces every
+        // third block (2 shares a factor with the V100's 80 SMs).
+        let g = uniform_random(20_000, 200_000, 6);
         let plan = plan_for(
             &g,
             OpInfo::aggregation_sum(),
             ParallelInfo::basic(Strategy::ThreadEdge),
             16,
         );
-        let full = measure(&g, &plan, &v100());
-        let sampled = measure(
-            &g,
-            &plan,
-            &MeasureOptions::new(DeviceConfig::v100()).with_fidelity(Fidelity::Sampled(7)),
+        let device = DeviceConfig::v100();
+        assert_eq!(
+            resolve_sampling(
+                Fidelity::Auto,
+                plan.grid_blocks,
+                plan.threads_per_block / 32,
+                32.0,
+                device.num_sms
+            ),
+            (3, 1)
         );
+        let full = measure(&g, &plan, &v100());
+        let sampled = measure(&g, &plan, &MeasureOptions::auto(device));
         let ratio = sampled.time_ms / full.time_ms;
         assert!(
             (0.5..2.0).contains(&ratio),
@@ -1065,9 +1072,9 @@ mod tests {
             resolve_sampling(Fidelity::Full, 10_000, 8, 32.0, 80),
             (1, 1)
         );
-        let (s, w) = resolve_sampling(Fidelity::Sampled(8), 10_000, 8, 32.0, 80);
-        assert_eq!(gcd(s, 80), 1);
-        assert_eq!(w, 1);
+        // 10k blocks: a raw stride of 26 is bumped to 27, coprime with 80.
+        let (s, w) = resolve_sampling(Fidelity::Auto, 10_000, 8, 32.0, 80);
+        assert_eq!((s, w), (27, 1));
         let (s, _) = resolve_sampling(Fidelity::Auto, 1_000_000, 8, 32.0, 80);
         assert!(s > 1);
         assert_eq!(gcd(s, 80), 1);
@@ -1075,11 +1082,10 @@ mod tests {
 
     #[test]
     fn sampling_resolution_terminates_without_sms() {
-        // No stride is coprime with zero; the requested stride is kept.
-        assert_eq!(
-            resolve_sampling(Fidelity::Sampled(2), 10_000, 8, 32.0, 0),
-            (2, 1)
-        );
+        // No stride is coprime with zero; the raw stride is kept (with 80
+        // SMs it is bumped to 27).
+        let (s, _) = resolve_sampling(Fidelity::Auto, 10_000, 8, 32.0, 0);
+        assert_eq!(s, 26);
         let (s, _) = resolve_sampling(Fidelity::Auto, 1_000_000, 8, 32.0, 0);
         assert!(s > 1);
     }

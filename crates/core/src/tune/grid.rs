@@ -1,9 +1,8 @@
 //! Exhaustive schedule search, optionally under a tuning budget.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 use ugrapher_graph::Graph;
 use ugrapher_obs::{metrics, MetricsRegistry, SpanKind};
@@ -15,27 +14,23 @@ use crate::plan::KernelPlan;
 use crate::schedule::ParallelInfo;
 use crate::CoreError;
 
-/// Limits on how much work a tuning pass may do before returning its
-/// best-so-far (FeatGraph-style budgeted search; needed to keep tuning
+/// A limit on how many candidates a tuning pass may search before
+/// returning its best-so-far (FeatGraph-style budgeted search; keeps tuning
 /// usable on a serving path).
 ///
 /// The default ([`TuneBudget::unlimited`]) imposes no limit, matching the
-/// paper's offline exhaustive search. Either limit may be set
-/// independently; a search that is cut short still returns the best
-/// schedule among those it measured and flags the result via
-/// [`TuneResult::budget_exhausted`]. Only a budget so tight that *zero*
-/// candidates were measured is an error ([`CoreError::BudgetExceeded`]).
+/// paper's offline exhaustive search. A search that is cut short still
+/// returns the best schedule among those it measured and flags the result
+/// via [`TuneResult::budget_exhausted`]. Only a budget of *zero* candidates
+/// is an error ([`CoreError::BudgetExceeded`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TuneBudget {
-    /// Stop starting new measurements once this much wall-clock time has
-    /// elapsed.
-    pub wall_clock: Option<Duration>,
     /// Search at most this many candidate schedules: a prefix of the list.
     pub max_candidates: Option<usize>,
 }
 
 impl TuneBudget {
-    /// No limits: the search runs to completion.
+    /// No limit: the search runs to completion.
     pub fn unlimited() -> Self {
         Self::default()
     }
@@ -43,23 +38,8 @@ impl TuneBudget {
     /// Limit the number of candidates measured.
     pub fn max_candidates(n: usize) -> Self {
         Self {
-            wall_clock: None,
             max_candidates: Some(n),
         }
-    }
-
-    /// Limit the wall-clock time spent measuring.
-    pub fn wall_clock(limit: Duration) -> Self {
-        Self {
-            wall_clock: Some(limit),
-            max_candidates: None,
-        }
-    }
-
-    /// Sets the wall-clock limit on an existing budget.
-    pub fn with_wall_clock(mut self, limit: Duration) -> Self {
-        self.wall_clock = Some(limit);
-        self
     }
 }
 
@@ -82,8 +62,8 @@ pub struct TuneResult {
     /// candidate was covered; `best` is then best-so-far, not the proven
     /// optimum. Candidates whose plan generation failed do **not** count
     /// as exhaustion — they are tallied in [`TuneResult::illegal`] — so
-    /// this flag is `true` exactly when the wall-clock deadline tripped or
-    /// `max_candidates` cut the candidate list short.
+    /// this flag is `true` exactly when `max_candidates` cut the candidate
+    /// list short.
     pub budget_exhausted: bool,
     /// Candidates skipped because their kernel plan failed to generate
     /// (illegal schedule for this operator/graph). They are excluded from
@@ -166,29 +146,24 @@ pub fn grid_search_shaped(
     )
 }
 
-/// [`grid_search_shaped`] under a [`TuneBudget`]: the search stops starting
-/// new measurements once the budget is exhausted and returns the best
-/// schedule among those measured so far.
-///
-/// With only `max_candidates` set, the covered prefix is deterministic
-/// (the first N candidates in list order); a wall-clock limit makes the
-/// cut-off point timing-dependent by nature.
+/// [`grid_search_shaped`] under a [`TuneBudget`]: the search covers the
+/// first `max_candidates` candidates in list order and returns the best
+/// schedule among them.
 ///
 /// Each distinct kernel is simulated once: candidates whose plans differ
 /// only in a tiling knob clamped to the same tile size are twins, and the
 /// first of them in list order is measured for all (one `tune.candidate`
 /// span and one `TUNING_EVALUATIONS` count per measured kernel). The
 /// result — `all`, `best`, the first-minimum tie-break, `illegal` and
-/// `budget_exhausted` — is what measuring every candidate would give. A
-/// deadline stops new *measurements*; the search then covers the
-/// candidates before the first unmeasured kernel.
+/// `budget_exhausted` — is what measuring every candidate would give.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError`] if the operator is invalid, `feat == 0`,
-/// `candidates` is empty ([`CoreError::TuningFailed`]), the device config
-/// is unusable ([`CoreError::DeviceInvalid`]), or the budget expired before
-/// a single candidate was measured ([`CoreError::BudgetExceeded`]).
+/// `candidates` is empty or every covered candidate is illegal
+/// ([`CoreError::TuningFailed`]), the device config is unusable
+/// ([`CoreError::DeviceInvalid`]), or the budget admits zero candidates
+/// ([`CoreError::BudgetExceeded`]).
 #[allow(clippy::too_many_arguments)]
 pub fn grid_search_budgeted(
     graph: &Graph,
@@ -223,7 +198,6 @@ pub fn grid_search_budgeted(
         .max_candidates
         .unwrap_or(candidates.len())
         .min(candidates.len());
-    let deadline = budget.wall_clock.map(|d| Instant::now() + d);
 
     // Every candidate in the prefix is planned up front (microseconds);
     // only the first plan of each distinct kernel is measured.
@@ -250,13 +224,9 @@ pub fn grid_search_budgeted(
         .map(|n| n.get())
         .unwrap_or(4)
         .min(kernels.len().max(1));
-    // Workers claim kernels in list order from a shared counter, so the
-    // measured kernels are always a prefix of `kernels`; a deadline trip
-    // sets the stop flag so in-flight measurements finish but no new ones
-    // start.
+    // Workers claim kernels in list order from a shared counter until none
+    // are left.
     let next = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let deadline_tripped = AtomicBool::new(false);
     let measured: Mutex<Vec<(usize, SimReport)>> = Mutex::new(Vec::new());
 
     std::thread::scope(|scope| {
@@ -264,16 +234,6 @@ pub fn grid_search_budgeted(
             scope.spawn(|| {
                 let mut local: Vec<(usize, SimReport)> = Vec::new();
                 loop {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    if let Some(deadline) = deadline {
-                        if Instant::now() >= deadline {
-                            deadline_tripped.store(true, Ordering::Relaxed);
-                            stop.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                    }
                     let k = next.fetch_add(1, Ordering::Relaxed);
                     let Some(&(i, plan)) = kernels.get(k) else {
                         break;
@@ -305,27 +265,16 @@ pub fn grid_search_budgeted(
     for (k, report) in measured.into_inner().unwrap_or_else(|e| e.into_inner()) {
         reports[kernels[k].0] = Some(report);
     }
-    // The search covers the candidates before the first unmeasured kernel:
-    // the same prefix a search measuring every candidate would have
-    // reported had the deadline stopped it there.
-    let covered = kernels
-        .iter()
-        .map(|&(i, _)| i)
-        .find(|&i| reports[i].is_none())
-        .unwrap_or(limit);
-
-    // Exhaustion means the *budget* cut the search short: the wall-clock
-    // deadline fired, or `max_candidates` excluded part of the candidate
+    // Exhaustion means `max_candidates` excluded part of the candidate
     // list. Candidates lost to plan-generation errors are counted in
     // `illegal` instead (reporting them as exhaustion would make an
     // unbudgeted search with one broken candidate look budget-limited).
-    let deadline_tripped = deadline_tripped.load(Ordering::Relaxed);
-    let budget_exhausted = deadline_tripped || limit < candidates.len();
+    let budget_exhausted = limit < candidates.len();
     let mut illegal = 0;
     let mut pending = None;
-    let mut all = Vec::with_capacity(covered);
+    let mut all = Vec::with_capacity(limit);
     let mut best: Option<(ParallelInfo, f64, usize)> = None;
-    for (i, plan) in plans.into_iter().enumerate().take(covered) {
+    for (i, plan) in plans.into_iter().enumerate() {
         if let Err(e) = plan {
             illegal += 1;
             pending.get_or_insert(e);
@@ -334,7 +283,7 @@ pub fn grid_search_budgeted(
         let kernel = first[i].expect("a generated plan has a kernel");
         let time_ms = reports[kernel]
             .as_ref()
-            .expect("covered kernels are measured")
+            .expect("every kernel is measured")
             .time_ms;
         all.push((candidates[i], time_ms));
         // Strictly less, so the first minimum in list order wins.
@@ -343,12 +292,7 @@ pub fn grid_search_budgeted(
         }
     }
     let Some((best, best_time_ms, kernel)) = best else {
-        return Err(empty_search_error(
-            deadline_tripped,
-            pending,
-            &budget,
-            candidates.len(),
-        ));
+        return Err(empty_search_error(pending, &budget, candidates.len()));
     };
     Ok(TuneResult {
         best,
@@ -372,7 +316,7 @@ pub fn grid_search_budgeted(
 /// the feature width, so at feat 32 a `T64` candidate is its `T32`
 /// sibling's twin, with the same trace and a bit-identical [`SimReport`];
 /// a search measures the first of each kind and gives its twins that time.
-pub(crate) fn first_of_kernel<'a>(
+fn first_of_kernel<'a>(
     plans: impl IntoIterator<Item = Option<&'a KernelPlan>>,
 ) -> Vec<Option<usize>> {
     let mut seen = HashMap::new();
@@ -396,39 +340,22 @@ pub(crate) fn first_of_kernel<'a>(
         .collect()
 }
 
-/// The error for a search that measured nothing, picking the verdict that
-/// actually happened: a wall-clock deadline trip is [`CoreError::BudgetExceeded`]
-/// even when an earlier candidate was illegal (the pending error is cited,
-/// not promoted — the deadline, not the broken candidate, ended the
-/// search); with no deadline trip, a pending plan-generation error means
-/// every *attempted* candidate was illegal ([`CoreError::TuningFailed`]);
-/// otherwise the budget admitted zero candidates ([`CoreError::BudgetExceeded`]).
+/// The error for a search that measured nothing: a pending plan-generation
+/// error means every covered candidate was illegal
+/// ([`CoreError::TuningFailed`]); otherwise the budget admitted zero
+/// candidates ([`CoreError::BudgetExceeded`]).
 fn empty_search_error(
-    deadline_tripped: bool,
     pending: Option<CoreError>,
     budget: &TuneBudget,
     num_candidates: usize,
 ) -> CoreError {
-    if deadline_tripped {
-        let note = match pending {
-            Some(e) => format!(" (an earlier candidate was also illegal: {e})"),
-            None => String::new(),
-        };
-        return CoreError::BudgetExceeded {
-            reason: format!(
-                "wall-clock budget {budget:?} expired before any of {num_candidates} candidates was measured{note}"
-            ),
-        };
-    }
     if let Some(e) = pending {
         return CoreError::TuningFailed {
             reason: format!("no legal candidate schedule: {e}"),
         };
     }
     CoreError::BudgetExceeded {
-        reason: format!(
-            "budget {budget:?} expired before any of {num_candidates} candidates was measured"
-        ),
+        reason: format!("budget {budget:?} admits none of {num_candidates} candidates"),
     }
 }
 
@@ -543,7 +470,7 @@ mod tests {
             (false, false),
             &options(),
             &ParallelInfo::basics(),
-            TuneBudget::max_candidates(1000).with_wall_clock(Duration::from_secs(600)),
+            TuneBudget::max_candidates(1000),
         )
         .unwrap();
         assert_eq!(budgeted.best, unbudgeted.best);
@@ -638,71 +565,6 @@ mod tests {
         assert!(matches!(err, CoreError::TuningFailed { .. }), "{err:?}");
     }
 
-    #[test]
-    fn zero_deadline_is_budget_exceeded_not_tuning_failed() {
-        // A deadline that fires immediately stops workers before any
-        // candidate is claimed: the verdict is BudgetExceeded even though
-        // the list contains an illegal candidate.
-        let g = uniform_random(60, 240, 23);
-        let bad = ParallelInfo {
-            strategy: Strategy::ThreadVertex,
-            grouping: 0,
-            tiling: 1,
-        };
-        let err = grid_search_budgeted(
-            &g,
-            &OpInfo::aggregation_sum(),
-            8,
-            (false, false),
-            &options(),
-            &[bad, ParallelInfo::basic(Strategy::ThreadVertex)],
-            TuneBudget::wall_clock(Duration::ZERO),
-        )
-        .unwrap_err();
-        assert!(matches!(err, CoreError::BudgetExceeded { .. }), "{err:?}");
-    }
-
-    #[test]
-    fn empty_search_verdict_prefers_deadline_over_pending_error() {
-        // The deadline-with-pending-illegal-candidate interleaving cannot
-        // be forced deterministically through the worker pool, so the
-        // verdict function is exercised directly: a deadline trip with an
-        // earlier illegal candidate is BudgetExceeded (citing the pending
-        // error), not "no legal candidate".
-        let pending = CoreError::InvalidSchedule {
-            reason: "TV: grouping must be >= 1".to_owned(),
-        };
-        let err = empty_search_error(
-            true,
-            Some(pending),
-            &TuneBudget::wall_clock(Duration::from_millis(1)),
-            10,
-        );
-        match err {
-            CoreError::BudgetExceeded { reason } => {
-                assert!(reason.contains("grouping must be >= 1"), "{reason}");
-            }
-            other => panic!("expected BudgetExceeded, got {other:?}"),
-        }
-        // Without a deadline trip, the pending error wins.
-        assert!(matches!(
-            empty_search_error(
-                false,
-                Some(CoreError::InvalidSchedule {
-                    reason: "x".to_owned()
-                }),
-                &TuneBudget::unlimited(),
-                10,
-            ),
-            CoreError::TuningFailed { .. }
-        ));
-        // Neither: the budget admitted zero candidates.
-        assert!(matches!(
-            empty_search_error(false, None, &TuneBudget::max_candidates(0), 10),
-            CoreError::BudgetExceeded { .. }
-        ));
-    }
-
     /// Reports for every candidate, each generated and measured on its own:
     /// the measure-everything search the deduplicated one must match.
     fn measure_each(
@@ -746,12 +608,7 @@ mod tests {
             .iter()
             .min_by(|a, b| a.1.time_ms.total_cmp(&b.1.time_ms))
         else {
-            return Err(empty_search_error(
-                false,
-                pending,
-                &budget,
-                candidates.len(),
-            ));
+            return Err(empty_search_error(pending, &budget, candidates.len()));
         };
         Ok(TuneResult {
             best,
@@ -800,10 +657,9 @@ mod tests {
                     }
                     let scalars = (false, feat % 2 == 0);
                     let reports = measure_each(g, &op, feat, scalars, &candidates);
-                    for limit in [None, Some(1), Some(40), Some(150)] {
+                    for limit in [None, Some(0), Some(1), Some(40), Some(150)] {
                         let what = format!("graph {gi} feat {feat} {order} limit {limit:?}");
                         let budget = TuneBudget {
-                            wall_clock: None,
                             max_candidates: limit,
                         };
                         let got = grid_search_budgeted(
@@ -822,17 +678,6 @@ mod tests {
                         );
                         assert_eq!(got, want, "{what}");
                     }
-                    let zero = grid_search_budgeted(
-                        g,
-                        &op,
-                        feat,
-                        scalars,
-                        &options(),
-                        &candidates,
-                        TuneBudget::wall_clock(Duration::ZERO),
-                    )
-                    .unwrap_err();
-                    assert!(matches!(zero, CoreError::BudgetExceeded { .. }), "{zero:?}");
                 }
             }
         }

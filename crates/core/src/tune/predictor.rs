@@ -11,10 +11,9 @@ use ugrapher_sim::DeviceConfig;
 use ugrapher_obs::{Recorder, SpanKind};
 
 use crate::abstraction::OpInfo;
-use crate::exec::{measure, MeasureOptions};
-use crate::plan::KernelPlan;
+use crate::exec::MeasureOptions;
 use crate::schedule::ParallelInfo;
-use crate::tune::grid::first_of_kernel;
+use crate::tune::grid_search_shaped;
 use crate::CoreError;
 
 /// Configuration of predictor training.
@@ -143,12 +142,18 @@ impl Predictor {
     /// Synthesises a training set per the configuration and fits the GBDT.
     ///
     /// Every (graph, operator, feature-dim, schedule) tuple becomes one row
-    /// mapping the Table 7 features to `ln(simulated time)`.
+    /// mapping the Table 7 features to `ln(simulated time)`. Each
+    /// (graph, operator, feature-dim) context is measured by
+    /// [`grid_search_shaped`] over the configured schedules, so training
+    /// runs on grid search's worker threads and, like any search, emits one
+    /// `tune.candidate` span and one `TUNING_EVALUATIONS` count per
+    /// distinct kernel.
     ///
     /// # Panics
     ///
     /// Panics if the configuration has no graphs, ops, feature dims, or
-    /// schedules.
+    /// schedules, or if an operator, feature dim or schedule of it is
+    /// illegal.
     pub fn train(config: &PredictorConfig) -> Self {
         assert!(
             config.num_graphs > 0
@@ -167,16 +172,26 @@ impl Predictor {
             let stats = graph.degree_stats();
             for op in &config.ops {
                 for &feat in &config.feat_dims {
-                    measure_context(
+                    let measured = grid_search_shaped(
                         &graph,
-                        &stats,
                         op,
                         feat,
-                        config,
+                        (false, false),
                         &options,
-                        &mut rows,
-                        &mut targets,
-                    );
+                        &config.schedules,
+                    )
+                    .expect("training contexts are valid");
+                    assert_eq!(measured.illegal, 0, "training schedules are legal");
+                    for (schedule, time) in measured.all {
+                        rows.push(crate::tune::features::feature_vector_masked(
+                            &stats,
+                            op,
+                            feat,
+                            &schedule,
+                            config.use_op_features,
+                        ));
+                        targets.push(time.max(1e-6).ln());
+                    }
                 }
             }
         }
@@ -319,45 +334,6 @@ fn random_graph(config: &PredictorConfig, rng: &mut StdRng) -> Graph {
         seed: rng.random(),
     }
     .build()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn measure_context(
-    graph: &Graph,
-    stats: &DegreeStats,
-    op: &OpInfo,
-    feat: usize,
-    config: &PredictorConfig,
-    options: &MeasureOptions,
-    rows: &mut Vec<Vec<f64>>,
-    targets: &mut Vec<f64>,
-) {
-    let plans: Vec<KernelPlan> = config
-        .schedules
-        .iter()
-        .map(|&s| {
-            KernelPlan::generate(*op, s, graph.num_vertices(), graph.num_edges(), feat)
-                .expect("training ops are valid")
-        })
-        .collect();
-    // Twins (tiling knobs clamped to the same tile) are measured once.
-    let first = first_of_kernel(plans.iter().map(Some));
-    let mut times: Vec<f64> = Vec::with_capacity(plans.len());
-    for (i, (plan, &schedule)) in plans.iter().zip(&config.schedules).enumerate() {
-        let time = match first[i] {
-            Some(kernel) if kernel < i => times[kernel],
-            _ => measure(graph, plan, options).time_ms,
-        };
-        times.push(time);
-        rows.push(crate::tune::features::feature_vector_masked(
-            stats,
-            op,
-            feat,
-            &schedule,
-            config.use_op_features,
-        ));
-        targets.push(time.max(1e-6).ln());
-    }
 }
 
 #[cfg(test)]

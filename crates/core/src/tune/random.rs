@@ -19,15 +19,12 @@ use crate::tune::{grid_search_shaped, TuneResult};
 use crate::CoreError;
 
 /// Searches `budget` randomly drawn schedules (plus the four basic
-/// anchors), returning the best found.
+/// anchors), returning the best found. A zero budget searches only the
+/// anchors.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError`] if the operator is invalid or `feat == 0`.
-///
-/// # Panics
-///
-/// Panics if `budget == 0`.
 pub fn random_search(
     graph: &Graph,
     op: &OpInfo,
@@ -37,7 +34,6 @@ pub fn random_search(
     budget: usize,
     seed: u64,
 ) -> Result<TuneResult, CoreError> {
-    assert!(budget > 0, "budget must be positive");
     let mut rng = StdRng::seed_from_u64(seed);
     let space = ParallelInfo::space();
     let mut candidates = ParallelInfo::basics();
@@ -100,6 +96,23 @@ mod tests {
         let a = random_search(&g, &op, 8, (false, false), &options(), 8, 9).unwrap();
         let b = random_search(&g, &op, 8, (false, false), &options(), 8, 9).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn zero_budget_searches_only_the_anchors() {
+        let g = uniform_random(200, 900, 34);
+        let op = OpInfo::aggregation_sum();
+        let rs = random_search(&g, &op, 8, (false, false), &options(), 0, 5).unwrap();
+        let basics = grid_search_shaped(
+            &g,
+            &op,
+            8,
+            (false, false),
+            &options(),
+            &ParallelInfo::basics(),
+        )
+        .unwrap();
+        assert_eq!(rs, basics);
     }
 
     #[test]

@@ -177,7 +177,7 @@ echo "== results: deterministic figure bins reproduce results/*.txt =="
 for bin in tbl02_operator_census tbl03_datasets tbl04_op_registry \
     tbl05_strategy_coverage tbl06_tradeoffs fig03_dgl_limits \
     fig07_strategy_variation fig16_metrics fig17_basic_vs_optimal \
-    fig18_group_tile_sweep fig19_renumbering calibration; do
+    fig18_group_tile_sweep fig19_renumbering calibration ablations; do
   env -u UGRAPHER_SCALE -u UGRAPHER_QUICK \
     cargo run --release --quiet -p ugrapher-bench --bin "$bin" | diff -u "results/$bin.txt" - \
     || { echo "results/$bin.txt differs from $bin's output"; exit 1; }

@@ -362,7 +362,7 @@ fn zero_sm_device_is_rejected_before_measuring() {
     // case runs on its own thread so a regression fails instead of hanging.
     let mut device = DeviceConfig::v100();
     device.num_sms = 0;
-    for fidelity in [Fidelity::Full, Fidelity::Sampled(2)] {
+    for fidelity in [Fidelity::Full, Fidelity::Auto] {
         let rt = Runtime::new(device.clone()).with_fidelity(fidelity);
         let (tx, rx) = std::sync::mpsc::channel();
         let worker = std::thread::spawn(move || {
