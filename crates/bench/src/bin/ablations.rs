@@ -16,19 +16,21 @@ use ugrapher_bench::{print_table, scale};
 use ugrapher_core::abstraction::OpInfo;
 use ugrapher_core::exec::MeasureOptions;
 use ugrapher_core::schedule::ParallelInfo;
-use ugrapher_core::tune::grid_search_space;
+use ugrapher_core::tune::{grid_search_budgeted, TuneBudget};
 use ugrapher_graph::datasets::by_abbrev;
 use ugrapher_sim::DeviceConfig;
 
 fn rank(device: DeviceConfig, abbrev: &str, feat: usize) -> Vec<String> {
     let graph = by_abbrev(abbrev).unwrap().build(scale());
     let options = MeasureOptions::auto(device);
-    let mut all = grid_search_space(
+    let mut all = grid_search_budgeted(
         &graph,
         &OpInfo::aggregation_sum(),
         feat,
+        (false, false),
         &options,
         &ParallelInfo::basics(),
+        TuneBudget::unlimited(),
     )
     .expect("valid op")
     .all;
@@ -99,8 +101,16 @@ fn predictor_feature_ablation(device: DeviceConfig) {
         let graph = by_abbrev(abbrev).unwrap().build(scale());
         let stats = graph.degree_stats();
         for op in &with_op.ops {
-            let truth =
-                grid_search_space(&graph, op, 16, &options, &ParallelInfo::basics()).unwrap();
+            let truth = grid_search_budgeted(
+                &graph,
+                op,
+                16,
+                (false, false),
+                &options,
+                &ParallelInfo::basics(),
+                TuneBudget::unlimited(),
+            )
+            .unwrap();
             let gap = |p: &Predictor| {
                 let chosen = p.choose(&stats, op, 16).expect("valid op");
                 truth.time_of(&chosen).expect("within space") / truth.best_time_ms

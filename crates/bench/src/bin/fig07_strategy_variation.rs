@@ -9,7 +9,7 @@ use ugrapher_bench::{eval_datasets, print_table, scale};
 use ugrapher_core::abstraction::OpInfo;
 use ugrapher_core::exec::MeasureOptions;
 use ugrapher_core::schedule::ParallelInfo;
-use ugrapher_core::tune::grid_search_space;
+use ugrapher_core::tune::{grid_search_budgeted, TuneBudget};
 use ugrapher_graph::datasets::by_abbrev;
 use ugrapher_sim::DeviceConfig;
 
@@ -23,8 +23,16 @@ fn main() {
         let mut winners = std::collections::BTreeMap::<String, usize>::new();
         for abbrev in eval_datasets() {
             let graph = by_abbrev(abbrev).unwrap().build(scale());
-            let res = grid_search_space(&graph, &op, feat, &options, &basics)
-                .expect("aggregation-sum is valid");
+            let res = grid_search_budgeted(
+                &graph,
+                &op,
+                feat,
+                (false, false),
+                &options,
+                &basics,
+                TuneBudget::unlimited(),
+            )
+            .expect("aggregation-sum is valid");
             let mut row = vec![abbrev.to_owned()];
             for p in &basics {
                 let t = res.time_of(p).expect("all basics measured");

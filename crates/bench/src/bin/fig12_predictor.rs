@@ -14,7 +14,7 @@ use ugrapher_bench::{eval_datasets, print_table, quick, save_json, scale};
 use ugrapher_core::abstraction::OpInfo;
 use ugrapher_core::exec::MeasureOptions;
 use ugrapher_core::schedule::ParallelInfo;
-use ugrapher_core::tune::{grid_search_shaped, Predictor, PredictorConfig};
+use ugrapher_core::tune::{grid_search_budgeted, Predictor, PredictorConfig, TuneBudget};
 use ugrapher_graph::datasets::by_abbrev;
 use ugrapher_sim::DeviceConfig;
 
@@ -62,13 +62,14 @@ fn main() {
     let mut gaps = Vec::new();
     for abbrev in eval_datasets() {
         let graph = by_abbrev(abbrev).unwrap().build(scale());
-        let truth = grid_search_shaped(
+        let truth = grid_search_budgeted(
             &graph,
             &op,
             feat,
             (false, true),
             &options,
             &config.schedules,
+            TuneBudget::unlimited(),
         )
         .expect("GCN L1 op is valid");
         let chosen = predictor

@@ -10,7 +10,7 @@ use ugrapher_bench::{eval_datasets, print_table, scale};
 use ugrapher_core::abstraction::OpInfo;
 use ugrapher_core::exec::MeasureOptions;
 use ugrapher_core::schedule::ParallelInfo;
-use ugrapher_core::tune::grid_search_space;
+use ugrapher_core::tune::{grid_search_budgeted, TuneBudget};
 use ugrapher_graph::datasets::by_abbrev;
 use ugrapher_sim::DeviceConfig;
 
@@ -27,8 +27,16 @@ fn main() {
         let mut rows = Vec::new();
         for abbrev in eval_datasets() {
             let graph = by_abbrev(abbrev).unwrap().build(scale());
-            let full =
-                grid_search_space(&graph, &op, feat, &options, &space).expect("operator is valid");
+            let full = grid_search_budgeted(
+                &graph,
+                &op,
+                feat,
+                (false, false),
+                &options,
+                &space,
+                TuneBudget::unlimited(),
+            )
+            .expect("operator is valid");
             let mut row = vec![abbrev.to_owned()];
             for b in &basics {
                 let t = full.time_of(b).expect("basics are inside the space");

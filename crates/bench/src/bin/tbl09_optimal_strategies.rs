@@ -14,7 +14,7 @@ use ugrapher_bench::{eval_datasets, print_table, save_json, scale};
 use ugrapher_core::abstraction::OpInfo;
 use ugrapher_core::exec::MeasureOptions;
 use ugrapher_core::schedule::ParallelInfo;
-use ugrapher_core::tune::grid_search_shaped;
+use ugrapher_core::tune::{grid_search_budgeted, TuneBudget};
 use ugrapher_graph::datasets::by_abbrev;
 use ugrapher_sim::DeviceConfig;
 
@@ -68,9 +68,17 @@ fn main() {
             let input_feat = info.feature_dim.min(256);
             let mut row = vec![abbrev.to_owned()];
             for (_, op, feat, scalars) in named_ops(input_feat) {
-                let best = grid_search_shaped(&graph, &op, feat, scalars, &options, &space)
-                    .expect("named ops are valid")
-                    .best;
+                let best = grid_search_budgeted(
+                    &graph,
+                    &op,
+                    feat,
+                    scalars,
+                    &options,
+                    &space,
+                    TuneBudget::unlimited(),
+                )
+                .expect("named ops are valid")
+                .best;
                 row.push(best.label());
             }
             rows.push(row.clone());

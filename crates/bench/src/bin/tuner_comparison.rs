@@ -12,7 +12,7 @@ use ugrapher_bench::{eval_datasets, print_table, scale};
 use ugrapher_core::abstraction::OpInfo;
 use ugrapher_core::exec::MeasureOptions;
 use ugrapher_core::schedule::ParallelInfo;
-use ugrapher_core::tune::{grid_search_space, random_search};
+use ugrapher_core::tune::{grid_search_budgeted, random_candidates, TuneBudget};
 use ugrapher_graph::datasets::by_abbrev;
 use ugrapher_sim::DeviceConfig;
 
@@ -24,14 +24,25 @@ fn main() {
     let mut rows = Vec::new();
     for abbrev in eval_datasets() {
         let graph = by_abbrev(abbrev).unwrap().build(scale());
+        let search = |candidates: &[ParallelInfo]| {
+            grid_search_budgeted(
+                &graph,
+                &op,
+                feat,
+                (false, false),
+                &options,
+                candidates,
+                TuneBudget::unlimited(),
+            )
+            .unwrap()
+        };
         let t0 = Instant::now();
-        let grid = grid_search_space(&graph, &op, feat, &options, &ParallelInfo::space()).unwrap();
+        let grid = search(&ParallelInfo::space());
         let grid_cost = t0.elapsed();
         let t0 = Instant::now();
-        let rand24 = random_search(&graph, &op, feat, (false, false), &options, 24, 7).unwrap();
+        let rand24 = search(&random_candidates(24, 7));
         let rand_cost = t0.elapsed();
-        let basics =
-            grid_search_space(&graph, &op, feat, &options, &ParallelInfo::basics()).unwrap();
+        let basics = search(&ParallelInfo::basics());
         rows.push(vec![
             abbrev.to_owned(),
             format!("{:.4} ({:.1?})", grid.best_time_ms, grid_cost),

@@ -28,8 +28,8 @@
 //!   requests and op sites on one graph pay for them once, while operands
 //!   are checked on every call because they change per request;
 //! * automatic schedule selection degrades gracefully (predictor →
-//!   budgeted grid search → a safe default), recording every fallback in
-//!   the returned [`RobustnessReport`];
+//!   grid search over the search space → a safe default), recording every
+//!   fallback in the returned [`RobustnessReport`];
 //! * a panic shield converts any library bug that would otherwise abort
 //!   the caller into [`CoreError::Internal`].
 
@@ -156,8 +156,7 @@ pub struct Runtime {
     device: DeviceConfig,
     fidelity: Fidelity,
     predictor: Option<Predictor>,
-    search_space: Option<Vec<ParallelInfo>>,
-    tune_budget: TuneBudget,
+    search_space: Vec<ParallelInfo>,
     recorder: Recorder,
     plan_cache: Option<Arc<PlanCache>>,
 }
@@ -171,8 +170,7 @@ impl Runtime {
             device,
             fidelity: Fidelity::Auto,
             predictor: None,
-            search_space: None,
-            tune_budget: TuneBudget::unlimited(),
+            search_space: ParallelInfo::space(),
             recorder: Recorder::global(),
             plan_cache: None,
         }
@@ -196,9 +194,10 @@ impl Runtime {
     }
 
     /// Restricts grid-search auto-tuning to the given candidate schedules
-    /// (e.g. the four basic strategies for a quick pass).
+    /// (the full [`ParallelInfo::space`] by default): a shorter list, e.g.
+    /// the four basic strategies, is a cheaper search.
     pub fn with_search_space(mut self, candidates: Vec<ParallelInfo>) -> Self {
-        self.search_space = Some(candidates);
+        self.search_space = candidates;
         self
     }
 
@@ -215,14 +214,6 @@ impl Runtime {
         self
     }
 
-    /// Caps the cost of grid-search auto-tuning. A search cut short by the
-    /// budget still returns its best-so-far schedule and records a
-    /// downgrade in the [`RobustnessReport`].
-    pub fn with_tune_budget(mut self, budget: TuneBudget) -> Self {
-        self.tune_budget = budget;
-        self
-    }
-
     /// Routes this runtime's spans (`"ugrapher.run"`, `"tune.candidate"`,
     /// `"sim.kernel"`, …) to an explicit recorder instead of the
     /// process-global one. Useful for capturing an isolated trace in tests.
@@ -236,9 +227,9 @@ impl Runtime {
         &self.device
     }
 
-    /// The schedule-selection fallback chain: predictor → budgeted grid
-    /// search → thread-vertex default. Each downgrade is recorded in
-    /// `report`. When grid search picked the schedule, its winning
+    /// The schedule-selection fallback chain: predictor → grid search over
+    /// the search space → thread-vertex default. Each downgrade is recorded
+    /// in `report`. When grid search picked the schedule, its winning
     /// [`SimReport`] (measured at [`Fidelity::Auto`] on this device) comes
     /// along.
     ///
@@ -289,22 +280,14 @@ impl Runtime {
         let options = MeasureOptions::auto(self.device.clone())
             .with_recorder(self.recorder.clone())
             .with_trace_id(trace_id);
-        let space;
-        let candidates: &[ParallelInfo] = match &self.search_space {
-            Some(c) => c,
-            None => {
-                space = ParallelInfo::space();
-                &space
-            }
-        };
         match grid_search_budgeted(
             graph.graph(),
             op,
             feat,
             scalars,
             &options,
-            candidates,
-            self.tune_budget,
+            &self.search_space,
+            TuneBudget::unlimited(),
         ) {
             Ok(res) => {
                 if res.illegal > 0 {
@@ -314,18 +297,7 @@ impl Runtime {
                         format!(
                             "{} of {} candidate plans failed generation",
                             res.illegal,
-                            candidates.len()
-                        ),
-                    );
-                }
-                if res.budget_exhausted {
-                    report.record(
-                        "tune-budget",
-                        "best-so-far schedule",
-                        format!(
-                            "budget stopped the search after {} of {} candidates",
-                            res.evaluated(),
-                            candidates.len()
+                            self.search_space.len()
                         ),
                     );
                 }
@@ -899,26 +871,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, CoreError::InvalidSchedule { .. }), "{err:?}");
-    }
-
-    #[test]
-    fn tight_budget_degrades_but_still_runs() {
-        let g = uniform_random(64, 256, 10);
-        let x = Tensor2::full(64, 4, 1.0);
-        let rt = Runtime::new(DeviceConfig::v100()).with_tune_budget(TuneBudget::max_candidates(2));
-        let res = rt
-            .run(
-                &GraphTensor::new(&g),
-                &OpArgs::fused(OpInfo::aggregation_sum(), &x),
-                None,
-            )
-            .unwrap();
-        assert!(res.robustness.degraded());
-        assert_eq!(res.robustness.downgrades[0].stage, "tune-budget");
-        // The result is still correct despite the truncated search.
-        for v in 0..64 {
-            assert_eq!(res.output[(v, 0)], g.in_degree(v) as f32);
-        }
     }
 
     #[test]

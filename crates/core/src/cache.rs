@@ -87,8 +87,8 @@ pub struct CachedPlan {
     pub plan: KernelPlan,
     /// Determinism classification of the kernel `plan` lowers to.
     pub determinism: DeterminismClass,
-    /// Downgrades recorded while this entry was compiled (tune budget
-    /// trips, schedule lints, predictor fallbacks). Replayed into the
+    /// Downgrades recorded while this entry was compiled (illegal tuning
+    /// candidates, schedule lints, predictor fallbacks). Replayed into the
     /// [`crate::robustness::RobustnessReport`] of every hit so cached and
     /// uncached requests report the same verdict.
     pub downgrades: Vec<Downgrade>,

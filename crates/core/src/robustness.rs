@@ -1,13 +1,13 @@
 //! Degradation tracking for the hardened execution pipeline.
 //!
-//! Schedule selection has a fallback chain — trained predictor, then
-//! budgeted grid search, then a safe default schedule — and each step may
-//! silently degrade quality but must never abort a run that can still
-//! produce a correct result. A [`RobustnessReport`] makes those downgrades
-//! visible: every fallback taken is recorded as a [`Downgrade`], and
-//! callers that care (benchmark harnesses, CI) can assert on
-//! [`RobustnessReport::degraded`] while interactive users just read the
-//! log.
+//! Schedule selection has a fallback chain — trained predictor, then grid
+//! search over the configured search space, then a safe default schedule —
+//! and each step may silently degrade quality but must never abort a run
+//! that can still produce a correct result. A [`RobustnessReport`] makes
+//! those downgrades visible: every fallback taken is recorded as a
+//! [`Downgrade`], and callers that care (benchmark harnesses, CI) can
+//! assert on [`RobustnessReport::degraded`] while interactive users just
+//! read the log.
 //!
 //! The report also carries the [`DeterminismClass`] of the executed
 //! kernel, derived from its lowered IR: whether repeated runs are
@@ -23,7 +23,7 @@ use crate::ir::DeterminismClass;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Downgrade {
     /// The stage that failed (`"predictor"`, `"grid-search"`,
-    /// `"tune-budget"`).
+    /// `"tune-illegal"`).
     pub stage: &'static str,
     /// What the pipeline used instead.
     pub fallback: &'static str,

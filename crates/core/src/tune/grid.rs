@@ -1,4 +1,5 @@
-//! Exhaustive schedule search, optionally under a tuning budget.
+//! The schedule search: a candidate list measured on the simulator,
+//! optionally under a tuning budget.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -14,15 +15,16 @@ use crate::plan::KernelPlan;
 use crate::schedule::ParallelInfo;
 use crate::CoreError;
 
-/// A limit on how many candidates a tuning pass may search before
-/// returning its best-so-far (FeatGraph-style budgeted search; keeps tuning
-/// usable on a serving path).
+/// A limit on how many candidates a search may cover before returning its
+/// best-so-far (FeatGraph-style budgeted search): a prefix of the list.
 ///
 /// The default ([`TuneBudget::unlimited`]) imposes no limit, matching the
-/// paper's offline exhaustive search. A search that is cut short still
-/// returns the best schedule among those it measured and flags the result
-/// via [`TuneResult::budget_exhausted`]. Only a budget of *zero* candidates
-/// is an error ([`CoreError::BudgetExceeded`]).
+/// paper's offline exhaustive search. A cheaper search is equally a shorter
+/// candidate list, which is how a [`crate::api::Runtime`] is made cheaper to
+/// tune ([`crate::api::Runtime::with_search_space`]). A search that is cut
+/// short still returns the best schedule among those it measured and flags
+/// the result via [`TuneResult::budget_exhausted`]. Only a budget of *zero*
+/// candidates is an error ([`CoreError::BudgetExceeded`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TuneBudget {
     /// Search at most this many candidate schedules: a prefix of the list.
@@ -87,68 +89,16 @@ impl TuneResult {
     }
 }
 
-/// Searches the full [`ParallelInfo::space`] for the fastest schedule.
+/// The schedule search: measures a list of candidate schedules on the
+/// simulator, in parallel across worker threads, and returns the fastest.
 ///
-/// # Errors
-///
-/// Returns [`CoreError`] if the operator is invalid or `feat == 0`.
-pub fn grid_search(
-    graph: &Graph,
-    op: &OpInfo,
-    feat: usize,
-    options: &MeasureOptions,
-) -> Result<TuneResult, CoreError> {
-    grid_search_space(graph, op, feat, options, &ParallelInfo::space())
-}
-
-/// Searches an explicit list of candidate schedules, in parallel across
-/// worker threads.
-///
-/// # Errors
-///
-/// Returns [`CoreError`] if the operator is invalid, `feat == 0`, or
-/// `candidates` is empty.
-pub fn grid_search_space(
-    graph: &Graph,
-    op: &OpInfo,
-    feat: usize,
-    options: &MeasureOptions,
-    candidates: &[ParallelInfo],
-) -> Result<TuneResult, CoreError> {
-    grid_search_shaped(graph, op, feat, (false, false), options, candidates)
-}
-
-/// [`grid_search_space`] with explicit operand shapes: `scalars` marks
-/// operands that are one-column broadcasts, so candidate kernels are costed
-/// exactly as they will run (a scalar edge weight moves 4 bytes per edge,
-/// not a feature tile — enough to flip the optimum).
-///
-/// # Errors
-///
-/// Returns [`CoreError`] if the operator is invalid, `feat == 0`, or
-/// `candidates` is empty.
-pub fn grid_search_shaped(
-    graph: &Graph,
-    op: &OpInfo,
-    feat: usize,
-    scalars: (bool, bool),
-    options: &MeasureOptions,
-    candidates: &[ParallelInfo],
-) -> Result<TuneResult, CoreError> {
-    grid_search_budgeted(
-        graph,
-        op,
-        feat,
-        scalars,
-        options,
-        candidates,
-        TuneBudget::unlimited(),
-    )
-}
-
-/// [`grid_search_shaped`] under a [`TuneBudget`]: the search covers the
-/// first `max_candidates` candidates in list order and returns the best
-/// schedule among them.
+/// Every tuner is a candidate list handed to this search (see
+/// [`crate::tune`]). `scalars` marks operands that are one-column
+/// broadcasts, so candidate kernels are costed exactly as they will run (a
+/// scalar edge weight moves 4 bytes per edge, not a feature tile — enough
+/// to flip the optimum).
+/// Under a [`TuneBudget`] the search covers the first `max_candidates`
+/// candidates in list order and returns the best schedule among them.
 ///
 /// Each distinct kernel is simulated once: candidates whose plans differ
 /// only in a tiling knob clamped to the same tile size are twins, and the
@@ -374,12 +324,14 @@ mod tests {
     #[test]
     fn finds_minimum_of_searched_space() {
         let g = uniform_random(400, 2000, 1);
-        let res = grid_search_space(
+        let res = grid_search_budgeted(
             &g,
             &OpInfo::aggregation_sum(),
             16,
+            (false, false),
             &options(),
             &ParallelInfo::basics(),
+            TuneBudget::unlimited(),
         )
         .unwrap();
         assert_eq!(res.all.len(), 4);
@@ -396,7 +348,16 @@ mod tests {
     #[test]
     fn full_space_search_covers_everything() {
         let g = uniform_random(200, 1000, 2);
-        let res = grid_search(&g, &OpInfo::aggregation_sum(), 8, &options()).unwrap();
+        let res = grid_search_budgeted(
+            &g,
+            &OpInfo::aggregation_sum(),
+            8,
+            (false, false),
+            &options(),
+            &ParallelInfo::space(),
+            TuneBudget::unlimited(),
+        )
+        .unwrap();
         assert_eq!(res.all.len(), ParallelInfo::space().len());
         assert!(!res.budget_exhausted);
     }
@@ -404,28 +365,40 @@ mod tests {
     #[test]
     fn empty_candidates_rejected() {
         let g = uniform_random(50, 200, 3);
-        let err =
-            grid_search_space(&g, &OpInfo::aggregation_sum(), 8, &options(), &[]).unwrap_err();
+        let err = grid_search_budgeted(
+            &g,
+            &OpInfo::aggregation_sum(),
+            8,
+            (false, false),
+            &options(),
+            &[],
+            TuneBudget::unlimited(),
+        )
+        .unwrap_err();
         assert!(matches!(err, CoreError::TuningFailed { .. }));
     }
 
     #[test]
     fn deterministic_results() {
         let g = uniform_random(300, 1500, 4);
-        let a = grid_search_space(
+        let a = grid_search_budgeted(
             &g,
             &OpInfo::aggregation_max(),
             8,
+            (false, false),
             &options(),
             &ParallelInfo::basics(),
+            TuneBudget::unlimited(),
         )
         .unwrap();
-        let b = grid_search_space(
+        let b = grid_search_budgeted(
             &g,
             &OpInfo::aggregation_max(),
             8,
+            (false, false),
             &options(),
             &ParallelInfo::basics(),
+            TuneBudget::unlimited(),
         )
         .unwrap();
         assert_eq!(a, b);
@@ -455,12 +428,14 @@ mod tests {
     #[test]
     fn generous_budget_changes_nothing() {
         let g = uniform_random(150, 700, 6);
-        let unbudgeted = grid_search_space(
+        let unbudgeted = grid_search_budgeted(
             &g,
             &OpInfo::aggregation_sum(),
             8,
+            (false, false),
             &options(),
             &ParallelInfo::basics(),
+            TuneBudget::unlimited(),
         )
         .unwrap();
         let budgeted = grid_search_budgeted(
@@ -708,11 +683,14 @@ mod tests {
         let mut builder = ugrapher_obs::Recorder::builder();
         let ring = builder.ring(1024);
         let rec = builder.build();
-        let res = grid_search(
+        let res = grid_search_budgeted(
             &g,
             &OpInfo::aggregation_sum(),
             32,
+            (false, false),
             &options().with_recorder(rec),
+            &space,
+            TuneBudget::unlimited(),
         )
         .unwrap();
         assert_eq!(res.evaluated(), 196);
@@ -732,12 +710,14 @@ mod tests {
         let g = uniform_random(100, 500, 8);
         let mut opts = options();
         opts.device.num_sms = 0;
-        let err = grid_search_space(
+        let err = grid_search_budgeted(
             &g,
             &OpInfo::aggregation_sum(),
             8,
+            (false, false),
             &opts,
             &ParallelInfo::basics(),
+            TuneBudget::unlimited(),
         )
         .unwrap_err();
         assert!(matches!(err, CoreError::DeviceInvalid { .. }));

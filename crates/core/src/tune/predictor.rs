@@ -13,7 +13,7 @@ use ugrapher_obs::{Recorder, SpanKind};
 use crate::abstraction::OpInfo;
 use crate::exec::MeasureOptions;
 use crate::schedule::ParallelInfo;
-use crate::tune::grid_search_shaped;
+use crate::tune::{grid_search_budgeted, TuneBudget};
 use crate::CoreError;
 
 /// Configuration of predictor training.
@@ -144,7 +144,7 @@ impl Predictor {
     /// Every (graph, operator, feature-dim, schedule) tuple becomes one row
     /// mapping the Table 7 features to `ln(simulated time)`. Each
     /// (graph, operator, feature-dim) context is measured by
-    /// [`grid_search_shaped`] over the configured schedules, so training
+    /// [`grid_search_budgeted`] over the configured schedules, so training
     /// runs on grid search's worker threads and, like any search, emits one
     /// `tune.candidate` span and one `TUNING_EVALUATIONS` count per
     /// distinct kernel.
@@ -172,13 +172,14 @@ impl Predictor {
             let stats = graph.degree_stats();
             for op in &config.ops {
                 for &feat in &config.feat_dims {
-                    let measured = grid_search_shaped(
+                    let measured = grid_search_budgeted(
                         &graph,
                         op,
                         feat,
                         (false, false),
                         &options,
                         &config.schedules,
+                        TuneBudget::unlimited(),
                     )
                     .expect("training contexts are valid");
                     assert_eq!(measured.illegal, 0, "training schedules are legal");
@@ -339,7 +340,6 @@ fn random_graph(config: &PredictorConfig, rng: &mut StdRng) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tune::grid_search_space;
     use ugrapher_graph::generate::uniform_random;
 
     #[test]
@@ -354,7 +354,16 @@ mod tests {
         let chosen = predictor.choose(&stats, &op, 16).unwrap();
 
         let options = MeasureOptions::auto(DeviceConfig::v100());
-        let truth = grid_search_space(&g, &op, 16, &options, &ParallelInfo::basics()).unwrap();
+        let truth = grid_search_budgeted(
+            &g,
+            &op,
+            16,
+            (false, false),
+            &options,
+            &ParallelInfo::basics(),
+            TuneBudget::unlimited(),
+        )
+        .unwrap();
         let chosen_time = truth.time_of(&chosen).unwrap();
         // Paper Fig. 12: predictor performance is close to grid search. We
         // allow 2x on this deliberately tiny training config.

@@ -1,52 +1,34 @@
-//! Budgeted random search.
+//! Random search's candidate list.
 //!
 //! Grid search measures all 196 schedules; the predictor is instant but
 //! approximate. Random search sits between: measure a fixed budget of
 //! uniformly drawn schedules (always including the four basics as anchors)
-//! and return the best seen. Useful when the operator is exotic enough
-//! that the trained predictor cannot be trusted but a full sweep is too
-//! slow — and as a baseline to quantify how much exhaustive search
-//! actually buys.
+//! and keep the best seen. Useful when the operator is exotic enough that
+//! the trained predictor cannot be trusted but a full sweep is too slow —
+//! and as a baseline to quantify how much exhaustive search actually buys.
+//! The list is measured like any other, by
+//! [`crate::tune::grid_search_budgeted`].
 
 use ugrapher_util::rng::StdRng;
 
-use ugrapher_graph::Graph;
-
-use crate::abstraction::OpInfo;
-use crate::exec::MeasureOptions;
 use crate::schedule::ParallelInfo;
-use crate::tune::{grid_search_shaped, TuneResult};
-use crate::CoreError;
 
-/// Searches `budget` randomly drawn schedules (plus the four basic
-/// anchors), returning the best found. A zero budget searches only the
+/// The four basic anchors followed by `budget` distinct schedules drawn
+/// uniformly from [`ParallelInfo::space`] with a `seed`-ed generator, stopping
+/// early once the whole space is listed. A zero budget lists only the
 /// anchors.
-///
-/// # Errors
-///
-/// Returns [`CoreError`] if the operator is invalid or `feat == 0`.
-pub fn random_search(
-    graph: &Graph,
-    op: &OpInfo,
-    feat: usize,
-    scalars: (bool, bool),
-    options: &MeasureOptions,
-    budget: usize,
-    seed: u64,
-) -> Result<TuneResult, CoreError> {
+pub fn random_candidates(budget: usize, seed: u64) -> Vec<ParallelInfo> {
     let mut rng = StdRng::seed_from_u64(seed);
     let space = ParallelInfo::space();
     let mut candidates = ParallelInfo::basics();
-    while candidates.len() < budget + 4 {
+    let len = budget.saturating_add(candidates.len()).min(space.len());
+    while candidates.len() < len {
         let pick = space[rng.random_range(0..space.len())];
         if !candidates.contains(&pick) {
             candidates.push(pick);
         }
-        if candidates.len() >= space.len() {
-            break;
-        }
     }
-    grid_search_shaped(graph, op, feat, scalars, options, &candidates)
+    candidates
 }
 
 #[cfg(test)]
@@ -56,70 +38,64 @@ mod tests {
     use ugrapher_graph::generate::uniform_random;
     use ugrapher_sim::DeviceConfig;
 
-    fn options() -> MeasureOptions {
-        MeasureOptions::auto(DeviceConfig::v100())
+    use crate::abstraction::OpInfo;
+    use crate::exec::MeasureOptions;
+    use crate::tune::{grid_search_budgeted, TuneBudget, TuneResult};
+
+    fn search(candidates: &[ParallelInfo]) -> TuneResult {
+        let g = uniform_random(600, 4200, 31);
+        grid_search_budgeted(
+            &g,
+            &OpInfo::aggregation_sum(),
+            16,
+            (false, false),
+            &MeasureOptions::auto(DeviceConfig::v100()),
+            candidates,
+            TuneBudget::unlimited(),
+        )
+        .unwrap()
     }
 
     #[test]
     fn random_search_never_beats_grid_and_never_loses_to_basics() {
-        let g = uniform_random(600, 4200, 31);
-        let op = OpInfo::aggregation_sum();
-        let rs = random_search(&g, &op, 16, (false, false), &options(), 24, 1).unwrap();
-        let grid = grid_search_shaped(
-            &g,
-            &op,
-            16,
-            (false, false),
-            &options(),
-            &ParallelInfo::space(),
-        )
-        .unwrap();
-        let basics = grid_search_shaped(
-            &g,
-            &op,
-            16,
-            (false, false),
-            &options(),
-            &ParallelInfo::basics(),
-        )
-        .unwrap();
+        let rs = search(&random_candidates(24, 1));
+        let grid = search(&ParallelInfo::space());
+        let basics = search(&ParallelInfo::basics());
         assert!(grid.best_time_ms <= rs.best_time_ms + 1e-12);
         assert!(rs.best_time_ms <= basics.best_time_ms + 1e-12);
-        // Budget respected: 4 anchors + 24 draws.
-        assert!(rs.all.len() <= 28);
     }
 
     #[test]
     fn deterministic_for_a_seed() {
-        let g = uniform_random(300, 1500, 32);
-        let op = OpInfo::aggregation_max();
-        let a = random_search(&g, &op, 8, (false, false), &options(), 8, 9).unwrap();
-        let b = random_search(&g, &op, 8, (false, false), &options(), 8, 9).unwrap();
-        assert_eq!(a, b);
+        assert_eq!(random_candidates(8, 9), random_candidates(8, 9));
     }
 
     #[test]
-    fn zero_budget_searches_only_the_anchors() {
-        let g = uniform_random(200, 900, 34);
-        let op = OpInfo::aggregation_sum();
-        let rs = random_search(&g, &op, 8, (false, false), &options(), 0, 5).unwrap();
-        let basics = grid_search_shaped(
-            &g,
-            &op,
-            8,
-            (false, false),
-            &options(),
-            &ParallelInfo::basics(),
-        )
-        .unwrap();
-        assert_eq!(rs, basics);
+    fn zero_budget_lists_only_the_anchors() {
+        assert_eq!(random_candidates(0, 5), ParallelInfo::basics());
     }
 
     #[test]
-    fn budget_larger_than_space_terminates() {
-        let g = uniform_random(100, 400, 33);
-        let op = OpInfo::aggregation_sum();
-        let r = random_search(&g, &op, 8, (false, false), &options(), 10_000, 3).unwrap();
-        assert!(r.all.len() <= ParallelInfo::space().len());
+    fn budget_bounds_the_length_and_draws_are_distinct() {
+        // 4 anchors + 24 draws.
+        let list = random_candidates(24, 1);
+        assert_eq!(list.len(), 28);
+        assert_eq!(list[..4], ParallelInfo::basics()[..]);
+        for (i, p) in list.iter().enumerate() {
+            assert!(!list[..i].contains(p), "{p} listed twice");
+        }
+        let space = ParallelInfo::space();
+        assert!(list.iter().all(|p| space.contains(p)));
+    }
+
+    #[test]
+    fn budget_larger_than_space_lists_the_whole_space() {
+        let space = ParallelInfo::space();
+        for budget in [10_000, usize::MAX - 3, usize::MAX] {
+            let mut list = random_candidates(budget, 3);
+            assert_eq!(list.len(), space.len(), "budget {budget}");
+            list.sort_by_key(|p| space.iter().position(|q| q == p));
+            assert_eq!(list, space, "budget {budget}");
+        }
     }
 }

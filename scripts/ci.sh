@@ -44,9 +44,11 @@ cargo run --release -p ugrapher-obs --bin trace-check -- "$trace_dir/trace.jsonl
 rm -rf "$trace_dir"
 
 # The smoke runs below rewrite the committed results/BENCH_serving.json
-# and the `smoke` slots of BENCH_sim.json and BENCH_exec.json. Keep a copy
-# and put it back on exit, so a CI run leaves the tree as it found it.
-bench_files=(results/BENCH_serving.json results/BENCH_sim.json results/BENCH_exec.json)
+# and the `smoke` slots of BENCH_sim.json and BENCH_exec.json, and the
+# tbl09 step rewrites results/tbl09.json. Keep a copy and put it back on
+# exit, so a CI run leaves the tree as it found it.
+bench_files=(results/BENCH_serving.json results/BENCH_sim.json results/BENCH_exec.json
+  results/tbl09.json)
 bench_snapshot="$(mktemp -d)"
 cp "${bench_files[@]}" "$bench_snapshot/"
 restore_bench_files() {
@@ -183,6 +185,17 @@ for bin in tbl02_operator_census tbl03_datasets tbl04_op_registry \
     || { echo "results/$bin.txt differs from $bin's output"; exit 1; }
 done
 echo "results ok"
+
+echo "== results: tbl09_optimal_strategies reproduces results/tbl09* =="
+# The one figure bin that searches with a scalar operand. It rewrites
+# results/tbl09.json, so that file is compared with the snapshot above.
+env -u UGRAPHER_SCALE -u UGRAPHER_QUICK \
+  cargo run --release --quiet -p ugrapher-bench --bin tbl09_optimal_strategies \
+  | diff -u results/tbl09_optimal_strategies.txt - \
+  || { echo "results/tbl09_optimal_strategies.txt differs from tbl09_optimal_strategies's output"; exit 1; }
+cmp "$bench_snapshot/tbl09.json" results/tbl09.json \
+  || { echo "results/tbl09.json differs from the committed file"; exit 1; }
+echo "tbl09 ok"
 
 echo "== simulator + codegen: registry-wide golden digests =="
 cargo test --release -p ugrapher-core --test sim_golden -- --ignored

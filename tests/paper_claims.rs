@@ -6,7 +6,7 @@ use ugrapher::core::abstraction::OpInfo;
 use ugrapher::core::api::Runtime;
 use ugrapher::core::exec::{Fidelity, MeasureOptions};
 use ugrapher::core::schedule::{ParallelInfo, Strategy};
-use ugrapher::core::tune::grid_search_space;
+use ugrapher::core::tune::{grid_search_budgeted, TuneBudget};
 use ugrapher::graph::datasets::{by_abbrev, Scale};
 use ugrapher::sim::DeviceConfig;
 
@@ -24,12 +24,14 @@ fn no_single_basic_strategy_wins_everywhere() {
     for abbrev in ["CI", "PR", "AR", "SB", "TW"] {
         for feat in [8usize, 16] {
             let graph = by_abbrev(abbrev).unwrap().build(SCALE);
-            let res = grid_search_space(
+            let res = grid_search_budgeted(
                 &graph,
                 &OpInfo::aggregation_sum(),
                 feat,
+                (false, false),
                 &options(),
                 &ParallelInfo::basics(),
+                TuneBudget::unlimited(),
             )
             .unwrap();
             winners.insert(res.best.strategy);
@@ -106,12 +108,28 @@ fn knobs_beat_basic_strategies_somewhere() {
     for abbrev in ["AR", "TW", "PU"] {
         let graph = by_abbrev(abbrev).unwrap().build(SCALE);
         let op = OpInfo::aggregation_sum();
-        let basic = grid_search_space(&graph, &op, 32, &options(), &ParallelInfo::basics())
-            .unwrap()
-            .best_time_ms;
-        let full = grid_search_space(&graph, &op, 32, &options(), &ParallelInfo::space())
-            .unwrap()
-            .best_time_ms;
+        let basic = grid_search_budgeted(
+            &graph,
+            &op,
+            32,
+            (false, false),
+            &options(),
+            &ParallelInfo::basics(),
+            TuneBudget::unlimited(),
+        )
+        .unwrap()
+        .best_time_ms;
+        let full = grid_search_budgeted(
+            &graph,
+            &op,
+            32,
+            (false, false),
+            &options(),
+            &ParallelInfo::space(),
+            TuneBudget::unlimited(),
+        )
+        .unwrap()
+        .best_time_ms;
         assert!(full <= basic + 1e-12, "full space contains the basics");
         if full < basic * 0.95 {
             improved = true;
@@ -156,12 +174,14 @@ fn devices_can_prefer_different_schedules() {
         let graph = by_abbrev(abbrev).unwrap().build(SCALE);
         let op = OpInfo::aggregation_sum();
         let on = |device: DeviceConfig| {
-            grid_search_space(
+            grid_search_budgeted(
                 &graph,
                 &op,
                 16,
+                (false, false),
                 &MeasureOptions::auto(device),
                 &ParallelInfo::space(),
+                TuneBudget::unlimited(),
             )
             .unwrap()
             .best
