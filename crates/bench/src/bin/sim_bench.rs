@@ -2,7 +2,10 @@
 //! golden matrix of `crates/core/tests/sim_golden.rs`, plus one
 //! 196-candidate `grid_search_budgeted` on a 240-vertex graph, with the
 //! number of distinct kernels it simulated (`measured`: 168 at feat 32,
-//! where tiling 64 clamps to tiling 32's kernel).
+//! where tiling 64 clamps to tiling 32's kernel), and one plan-cache miss
+//! of a fresh `Runtime` (`Runtime::compiled_plan`, auto-tuned over the
+//! same 196 candidates) on that graph, with the kernels it ran to their
+//! report (`measured`) and stopped once they could not win (`stopped`).
 //!
 //! Usage: `sim_bench [--smoke] [--slot <name>] [--fresh]`. A run replaces
 //! one slot of `results/BENCH_sim.json` and keeps the others, so the file
@@ -21,7 +24,7 @@
 //! the median over repetitions of the mean host µs per `measure` call
 //! across the cell's three operators × two fidelities, stored with the
 //! lower and upper quartile over repetitions (`<figure>_q1`,
-//! `<figure>_q3`), as is the grid search's. Devices form the
+//! `<figure>_q3`), as are the grid search's and the runtime miss's. Devices form the
 //! outer loop, as in a process that targets one GPU, and one untimed pass
 //! per cell runs first, so lazily built per-thread state is warm.
 
@@ -32,6 +35,7 @@ use std::time::Instant;
 
 use ugrapher_bench::{mean_quartiles, print_table, quartiles, save_slot, with_quartiles, SlotArgs};
 use ugrapher_core::abstraction::OpInfo;
+use ugrapher_core::api::{GraphTensor, Runtime};
 use ugrapher_core::exec::{measure, Fidelity, MeasureOptions};
 use ugrapher_core::plan::KernelPlan;
 use ugrapher_core::schedule::{ParallelInfo, Strategy};
@@ -143,6 +147,36 @@ fn grid_search_ms(reps: usize) -> (Graph, [f64; 3], u64) {
     (g, ms, measured)
 }
 
+/// The quartiles of host ms for one plan-cache miss of a fresh `Runtime`
+/// on `g`, and the kernels one miss ran to their report (read off
+/// `KERNELS_LAUNCHED`) and stopped early (the rest of its
+/// `TUNING_EVALUATIONS`).
+fn runtime_miss_ms(g: &Graph, reps: usize) -> ([f64; 3], u64, u64) {
+    let graph = GraphTensor::new(g);
+    let op = OpInfo::weighted_aggregation_sum();
+    let run = || {
+        let rt = Runtime::new(DeviceConfig::v100());
+        let t0 = Instant::now();
+        let (entry, hit) = rt
+            .compiled_plan(&graph, &op, None, FEAT, (false, true), 0)
+            .unwrap();
+        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        assert!(!hit, "a runtime without a plan cache always misses");
+        std::hint::black_box(entry);
+        ms
+    };
+    let counter = |name| MetricsRegistry::global().counter(name);
+    let (evaluations, launched) = (
+        counter(metrics::TUNING_EVALUATIONS),
+        counter(metrics::KERNELS_LAUNCHED),
+    );
+    run();
+    let measured = counter(metrics::KERNELS_LAUNCHED) - launched;
+    let stopped = counter(metrics::TUNING_EVALUATIONS) - evaluations - measured;
+    let ms = quartiles((0..reps).map(|_| run()).collect());
+    (ms, measured, stopped)
+}
+
 fn main() {
     let SlotArgs { smoke, slot, fresh } = SlotArgs::from_env();
     let (reps, grid_reps) = if smoke { (1, 1) } else { (REPS, GRID_REPS) };
@@ -185,6 +219,7 @@ fn main() {
     }
     let mean_us = mean_quartiles(&cell_quartiles);
     let (grid_graph, grid_ms, grid_measured) = grid_search_ms(grid_reps);
+    let (miss_ms, miss_measured, miss_stopped) = runtime_miss_ms(&grid_graph, grid_reps);
 
     print_table(
         &format!("exec::measure host time ({slot})"),
@@ -197,6 +232,11 @@ fn main() {
         grid_graph.num_vertices(),
         grid_graph.num_edges(),
         grid_ms[1]
+    );
+    println!(
+        "Runtime::compiled_plan miss, 196 candidates ({miss_measured} kernels measured, \
+         {miss_stopped} stopped): {:.1} ms",
+        miss_ms[1]
     );
 
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -218,6 +258,20 @@ fn main() {
                 grid_ms,
             ),
         ),
+        (
+            "runtime_miss",
+            with_quartiles(
+                Value::obj(vec![
+                    ("candidates", Value::Num(196.0)),
+                    ("measured", Value::Num(miss_measured as f64)),
+                    ("stopped", Value::Num(miss_stopped as f64)),
+                    ("vertices", Value::Num(grid_graph.num_vertices() as f64)),
+                    ("edges", Value::Num(grid_graph.num_edges() as f64)),
+                ]),
+                "ms",
+                miss_ms,
+            ),
+        ),
     ]);
     let run = with_quartiles(run, "mean_measure_us", mean_us);
 
@@ -228,6 +282,7 @@ fn main() {
         &[
             ("mean_measure_us", &["mean_measure_us"]),
             ("grid_search_ms", &["grid_search", "ms"]),
+            ("runtime_miss_ms", &["runtime_miss", "ms"]),
         ],
         fresh,
     );

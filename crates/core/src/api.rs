@@ -47,7 +47,7 @@ use crate::exec::{functional, measure, Fidelity, MeasureOptions, OpOperands};
 use crate::plan::KernelPlan;
 use crate::robustness::RobustnessReport;
 use crate::schedule::{ParallelInfo, Strategy};
-use crate::tune::{grid_search_budgeted, Predictor, TuneBudget};
+use crate::tune::{grid_search_winner, Predictor};
 use crate::CoreError;
 
 /// The graph operand of the uGrapher API: a borrow of a [`Graph`] whose
@@ -280,14 +280,13 @@ impl Runtime {
         let options = MeasureOptions::auto(self.device.clone())
             .with_recorder(self.recorder.clone())
             .with_trace_id(trace_id);
-        match grid_search_budgeted(
+        match grid_search_winner(
             graph.graph(),
             op,
             feat,
             scalars,
             &options,
             &self.search_space,
-            TuneBudget::unlimited(),
         ) {
             Ok(res) => {
                 if res.illegal > 0 {
@@ -888,6 +887,70 @@ mod tests {
         assert_eq!(res.schedule, ParallelInfo::basic(Strategy::ThreadVertex));
         assert!(res.robustness.degraded());
         assert_eq!(res.robustness.downgrades[0].stage, "grid-search");
+    }
+
+    /// A full-space plan-cache miss opens one `tune.candidate` span per
+    /// distinct kernel. The kernels stopped once they could not win carry
+    /// `stopped = true` and no `measured_time_ms`, and emit no
+    /// `sim.kernel` span; the winner is the full grid search's, bit for bit.
+    #[test]
+    fn full_space_miss_marks_exactly_the_stopped_candidates() {
+        let g = uniform_random(200, 1200, 3);
+        let (op, feat) = (OpInfo::aggregation_sum(), 8);
+        let mut builder = Recorder::builder();
+        let ring = builder.ring(4096);
+        let rt = Runtime::new(DeviceConfig::v100()).with_recorder(builder.build());
+        let (entry, hit) = rt
+            .compiled_plan(&GraphTensor::new(&g), &op, None, feat, (false, false), 0)
+            .unwrap();
+        assert!(!hit);
+
+        let space = ParallelInfo::space();
+        let kernels: std::collections::HashSet<_> = space
+            .iter()
+            .map(|&p| {
+                let plan = KernelPlan::generate(op, p, 200, 1200, feat).unwrap();
+                (p.strategy, p.grouping, plan.tile_size)
+            })
+            .collect();
+        let spans = ring.snapshot();
+        let candidates: Vec<_> = spans
+            .iter()
+            .filter(|s| s.name == "tune.candidate")
+            .collect();
+        assert_eq!(
+            candidates.len(),
+            kernels.len(),
+            "one span per distinct kernel"
+        );
+        let mut stopped = 0;
+        for s in &candidates {
+            let measured = s.attr("measured_time_ms").is_some();
+            let flagged = s.attr("stopped") == Some(&ugrapher_obs::AttrValue::Bool(true));
+            assert_ne!(measured, flagged, "{:?}", s.attrs);
+            stopped += usize::from(flagged);
+        }
+        assert!(stopped > 0, "the search stopped some kernels");
+        let simulated = spans.iter().filter(|s| s.name == "sim.kernel").count();
+        assert_eq!(simulated, candidates.len() - stopped);
+
+        let options = MeasureOptions::auto(DeviceConfig::v100());
+        let full = crate::tune::grid_search_budgeted(
+            &g,
+            &op,
+            feat,
+            (false, false),
+            &options,
+            &space,
+            crate::tune::TuneBudget::unlimited(),
+        )
+        .unwrap();
+        assert_eq!(entry.schedule, full.best);
+        assert_eq!(entry.report, full.best_report);
+        assert_eq!(
+            entry.report.time_ms.to_bits(),
+            full.best_report.time_ms.to_bits()
+        );
     }
 
     #[test]

@@ -326,6 +326,29 @@ fn resolve_sampling(
 /// assert!(report.time_ms > 0.0);
 /// ```
 pub fn measure(graph: &Graph, plan: &KernelPlan, options: &MeasureOptions) -> SimReport {
+    measure_within(graph, plan, options, f64::INFINITY).expect("an infinite cutoff never stops")
+}
+
+/// [`measure`], stopped as soon as the kernel is proven slower than
+/// `cutoff_ms`: the walker ends after the first block at which the
+/// simulator's cache-free lower bound ([`KernelSim::with_cutoff_ms`])
+/// exceeds the cutoff, and `None` comes back. A stopped kernel emits no
+/// `"sim.kernel"` span and no kernel metrics, since it produced no
+/// report. The bound applies only to launches that trace every block
+/// (`Fidelity::Full`, and `Fidelity::Auto` on grids small enough not to
+/// sample), so a sampled launch always runs to its report, as does any
+/// launch under an infinite cutoff; a kernel whose time is at most
+/// `cutoff_ms` is never stopped.
+///
+/// # Panics
+///
+/// Same conditions as [`measure`].
+pub(crate) fn measure_within(
+    graph: &Graph,
+    plan: &KernelPlan,
+    options: &MeasureOptions,
+    cutoff_ms: f64,
+) -> Option<SimReport> {
     let mut span = options
         .recorder
         .span_traced("sim.kernel", SpanKind::Kernel, options.trace_id);
@@ -358,8 +381,11 @@ pub fn measure(graph: &Graph, plan: &KernelPlan, options: &MeasureOptions) -> Si
     let launch = LaunchConfig::new(plan.grid_blocks, plan.threads_per_block)
         .with_regs(plan.regs_per_thread)
         .with_replication(replication);
-    let mut sim = KernelSim::new(device, launch);
-    Tracer::new(graph, plan, &ir, stride, warp_stride).run(&mut sim);
+    let mut sim = KernelSim::new(device, launch).with_cutoff_ms(cutoff_ms);
+    if !Tracer::new(graph, plan, &ir, stride, warp_stride).run(&mut sim) {
+        span.discard();
+        return None;
+    }
     let report = sim.finish();
     if span.is_enabled() {
         span.attr("schedule", plan.parallel.label())
@@ -388,7 +414,7 @@ pub fn measure(graph: &Graph, plan: &KernelPlan, options: &MeasureOptions) -> Si
         plan.parallel.strategy.label(),
         report.time_ms,
     );
-    report
+    Some(report)
 }
 
 /// Replays `plan`'s schedule over `graph` at **full fidelity** with the
@@ -574,8 +600,9 @@ impl<'a> Tracer<'a> {
         }
     }
 
-    /// Walks the sampled blocks and warps of the grid.
-    fn run(&self, sim: &mut KernelSim) {
+    /// Walks the sampled blocks and warps of the grid; `false` if it
+    /// stopped early because `sim` can no longer beat its cutoff.
+    fn run(&self, sim: &mut KernelSim) -> bool {
         let plan = self.plan;
         let wpb = plan.threads_per_block / 32;
         let scale = wpb as f64 / wpb.div_ceil(self.warp_stride).max(1) as f64;
@@ -601,7 +628,11 @@ impl<'a> Tracer<'a> {
                 self.warp(sim, &lanes, &mut scratch);
             }
             sim.end_block();
+            if sim.cannot_win() {
+                return false;
+            }
         }
+        true
     }
 
     /// The lane of work item `item = tile * num_groups + group`, so

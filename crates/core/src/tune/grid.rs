@@ -1,8 +1,19 @@
 //! The schedule search: a candidate list measured on the simulator,
 //! optionally under a tuning budget.
+//!
+//! One engine serves two entry points. [`grid_search_budgeted`] measures
+//! every distinct kernel and returns every time. `grid_search_winner`
+//! returns only the winner. Its workers claim kernels widest tile first
+//! and share the best time so far, and each kernel is traced with that
+//! time as a cutoff. The simulator's running lower bound (the per-SM sums
+//! of the issue and L1 terms, and the atomic chain) never exceeds the
+//! kernel's time, so the walker may stop a kernel once the bound passes
+//! the cutoff by a relative `1e-9`: such a kernel is slower than one
+//! already measured. Sampled launches are never stopped, because their
+//! hash-dealt pools and extrapolated waves are not a plain sum per SM.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use ugrapher_graph::Graph;
@@ -10,7 +21,8 @@ use ugrapher_obs::{metrics, MetricsRegistry, SpanKind};
 use ugrapher_sim::SimReport;
 
 use crate::abstraction::OpInfo;
-use crate::exec::{measure, MeasureOptions};
+use crate::exec::trace::measure_within;
+use crate::exec::MeasureOptions;
 use crate::plan::KernelPlan;
 use crate::schedule::ParallelInfo;
 use crate::CoreError;
@@ -124,6 +136,84 @@ pub fn grid_search_budgeted(
     candidates: &[ParallelInfo],
     budget: TuneBudget,
 ) -> Result<TuneResult, CoreError> {
+    let (winner, all) = search(graph, op, feat, scalars, options, candidates, budget, false)?;
+    Ok(TuneResult {
+        best: winner.best,
+        best_time_ms: winner.best_time_ms,
+        best_report: winner.best_report,
+        all,
+        // Exhaustion means `max_candidates` excluded part of the candidate
+        // list. Candidates lost to plan-generation errors are counted in
+        // `illegal` instead (reporting them as exhaustion would make an
+        // unbudgeted search with one broken candidate look budget-limited).
+        budget_exhausted: budget.max_candidates.is_some_and(|n| n < candidates.len()),
+        illegal: winner.illegal,
+    })
+}
+
+/// The winner of a schedule search, without the other candidates' times.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct TuneWinner {
+    /// The fastest schedule (the first in list order on a tie).
+    pub(crate) best: ParallelInfo,
+    /// Its simulated time in milliseconds.
+    pub(crate) best_time_ms: f64,
+    /// Its full simulated report.
+    pub(crate) best_report: SimReport,
+    /// Candidates whose kernel plan failed to generate.
+    pub(crate) illegal: usize,
+}
+
+/// The search for callers that read only the winner, such as a
+/// [`crate::api::Runtime`]'s plan-cache miss: the `best`, `best_time_ms`,
+/// `best_report` and `illegal` of [`grid_search_budgeted`] over the whole
+/// list, bit for bit, usually at a fraction of its host time.
+///
+/// Workers claim the distinct kernels widest tile first (the cheapest to
+/// trace and usually the fastest) and share the best time so far. Each
+/// kernel is traced under that time as its cutoff
+/// ([`crate::exec::trace`]'s early stop), so one that a cache-free lower
+/// bound proves slower stops tracing and gets no time. A kernel that ties
+/// the winner is never stopped, since its bound is at most its time, so
+/// the first-minimum tie-break is unchanged. Sampled launches (large
+/// graphs under [`crate::exec::Fidelity::Auto`]) always run to their
+/// report. Every claimed kernel keeps its `tune.candidate` span and
+/// `TUNING_EVALUATIONS` count; a stopped one's span carries
+/// `stopped = true` instead of `measured_time_ms`.
+///
+/// # Errors
+///
+/// Same conditions as [`grid_search_budgeted`] without a budget.
+pub(crate) fn grid_search_winner(
+    graph: &Graph,
+    op: &OpInfo,
+    feat: usize,
+    scalars: (bool, bool),
+    options: &MeasureOptions,
+    candidates: &[ParallelInfo],
+) -> Result<TuneWinner, CoreError> {
+    let unlimited = TuneBudget::unlimited();
+    search(
+        graph, op, feat, scalars, options, candidates, unlimited, true,
+    )
+    .map(|(w, _)| w)
+}
+
+/// The one search engine behind both entry points. It returns the winner
+/// and the `(schedule, time_ms)` row of every candidate in the budget's
+/// prefix whose kernel ran to its report, in list order: all of them unless
+/// `winner_only` let kernels that cannot win stop early.
+#[allow(clippy::too_many_arguments)]
+fn search(
+    graph: &Graph,
+    op: &OpInfo,
+    feat: usize,
+    scalars: (bool, bool),
+    options: &MeasureOptions,
+    candidates: &[ParallelInfo],
+    budget: TuneBudget,
+    winner_only: bool,
+) -> Result<(TuneWinner, Vec<(ParallelInfo, f64)>), CoreError> {
     if candidates.is_empty() {
         return Err(CoreError::TuningFailed {
             reason: "empty candidate schedule list".to_owned(),
@@ -159,7 +249,7 @@ pub fn grid_search_budgeted(
         })
         .collect();
     let first = first_of_kernel(plans.iter().map(|p| p.as_ref().ok()));
-    let kernels: Vec<(usize, &KernelPlan)> = plans
+    let mut kernels: Vec<(usize, &KernelPlan)> = plans
         .iter()
         .enumerate()
         .filter_map(|(i, plan)| {
@@ -169,14 +259,21 @@ pub fn grid_search_budgeted(
                 .map(|p| (i, p))
         })
         .collect();
+    if winner_only {
+        // Widest tile first (list order among equals): the cheapest
+        // kernels to trace, and usually the fastest, set a low cutoff early.
+        kernels.sort_by_key(|&(_, plan)| std::cmp::Reverse(plan.tile_size));
+    }
 
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
         .min(kernels.len().max(1));
-    // Workers claim kernels in list order from a shared counter until none
-    // are left.
+    // Workers claim kernels in that order from a shared counter until none
+    // are left. The best time so far is shared as `f64` bits: times are
+    // never negative, and non-negative floats order like their bits.
     let next = AtomicUsize::new(0);
+    let best_bits = AtomicU64::new(f64::INFINITY.to_bits());
     let measured: Mutex<Vec<(usize, SimReport)>> = Mutex::new(Vec::new());
 
     std::thread::scope(|scope| {
@@ -193,15 +290,26 @@ pub fn grid_search_budgeted(
                         SpanKind::Tune,
                         options.trace_id,
                     );
-                    let report = measure(graph, plan, options);
+                    let cutoff_ms = if winner_only {
+                        f64::from_bits(best_bits.load(Ordering::Relaxed))
+                    } else {
+                        f64::INFINITY
+                    };
+                    let report = measure_within(graph, plan, options, cutoff_ms);
                     if span.is_enabled() {
                         span.attr("schedule", candidates[i].label())
-                            .attr("candidate_index", i)
-                            .attr("measured_time_ms", report.time_ms);
+                            .attr("candidate_index", i);
+                        match &report {
+                            Some(r) => span.attr("measured_time_ms", r.time_ms),
+                            None => span.attr("stopped", true),
+                        };
                     }
                     drop(span);
                     MetricsRegistry::global().inc(metrics::TUNING_EVALUATIONS);
-                    local.push((k, report));
+                    if let Some(report) = report {
+                        best_bits.fetch_min(report.time_ms.to_bits(), Ordering::Relaxed);
+                        local.push((i, report));
+                    }
                 }
                 measured
                     .lock()
@@ -212,17 +320,12 @@ pub fn grid_search_budgeted(
     });
 
     let mut reports: Vec<Option<SimReport>> = vec![None; limit];
-    for (k, report) in measured.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        reports[kernels[k].0] = Some(report);
+    for (i, report) in measured.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        reports[i] = Some(report);
     }
-    // Exhaustion means `max_candidates` excluded part of the candidate
-    // list. Candidates lost to plan-generation errors are counted in
-    // `illegal` instead (reporting them as exhaustion would make an
-    // unbudgeted search with one broken candidate look budget-limited).
-    let budget_exhausted = limit < candidates.len();
     let mut illegal = 0;
     let mut pending = None;
-    let mut all = Vec::with_capacity(limit);
+    let mut rows = Vec::with_capacity(limit);
     let mut best: Option<(ParallelInfo, f64, usize)> = None;
     for (i, plan) in plans.into_iter().enumerate() {
         if let Err(e) = plan {
@@ -231,11 +334,13 @@ pub fn grid_search_budgeted(
             continue;
         }
         let kernel = first[i].expect("a generated plan has a kernel");
-        let time_ms = reports[kernel]
-            .as_ref()
-            .expect("every kernel is measured")
-            .time_ms;
-        all.push((candidates[i], time_ms));
+        // Only a kernel proven slower than a measured one has no report.
+        let Some(report) = &reports[kernel] else {
+            assert!(winner_only, "every kernel is measured");
+            continue;
+        };
+        let time_ms = report.time_ms;
+        rows.push((candidates[i], time_ms));
         // Strictly less, so the first minimum in list order wins.
         if best.is_none_or(|(_, t, _)| time_ms.total_cmp(&t).is_lt()) {
             best = Some((candidates[i], time_ms, kernel));
@@ -244,16 +349,15 @@ pub fn grid_search_budgeted(
     let Some((best, best_time_ms, kernel)) = best else {
         return Err(empty_search_error(pending, &budget, candidates.len()));
     };
-    Ok(TuneResult {
+    let winner = TuneWinner {
         best,
         best_time_ms,
         best_report: reports[kernel]
             .take()
             .expect("the winner's kernel is measured"),
-        all,
-        budget_exhausted,
         illegal,
-    })
+    };
+    Ok((winner, rows))
 }
 
 /// For each plan, the index of the first plan in the list that compiles to
@@ -313,6 +417,7 @@ fn empty_search_error(
 mod tests {
     use super::*;
 
+    use crate::exec::measure;
     use crate::schedule::Strategy;
     use ugrapher_graph::generate::uniform_random;
     use ugrapher_sim::DeviceConfig;
@@ -655,6 +760,268 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Every field of a report, as bits.
+    fn report_bits(r: &SimReport) -> [u64; 13] {
+        let SimReport {
+            time_ms,
+            kernels,
+            achieved_occupancy,
+            theoretical_occupancy,
+            sm_efficiency,
+            l1_hit_rate,
+            l2_hit_rate,
+            dram_bytes,
+            l2_transactions,
+            l1_transactions,
+            atomic_ops,
+            max_atomic_conflict,
+            compute_cycles,
+        } = *r;
+        [
+            time_ms.to_bits(),
+            kernels as u64,
+            achieved_occupancy.to_bits(),
+            theoretical_occupancy.to_bits(),
+            sm_efficiency.to_bits(),
+            l1_hit_rate.to_bits(),
+            l2_hit_rate.to_bits(),
+            dram_bytes.to_bits(),
+            l2_transactions.to_bits(),
+            l1_transactions.to_bits(),
+            atomic_ops.to_bits(),
+            max_atomic_conflict.to_bits(),
+            compute_cycles.to_bits(),
+        ]
+    }
+
+    /// Runs both searches over `candidates` and asserts the winner-only
+    /// one returns the full search's winner, bit for bit (or its error).
+    /// Returns the winner-only search's `tune.candidate` spans.
+    fn assert_same_winner(
+        g: &Graph,
+        op: &OpInfo,
+        feat: usize,
+        scalars: (bool, bool),
+        options: &MeasureOptions,
+        candidates: &[ParallelInfo],
+        what: &str,
+    ) -> Vec<ugrapher_obs::Span> {
+        let full = grid_search_budgeted(
+            g,
+            op,
+            feat,
+            scalars,
+            options,
+            candidates,
+            TuneBudget::unlimited(),
+        );
+        let mut builder = ugrapher_obs::Recorder::builder();
+        let ring = builder.ring(1024);
+        let traced = options.clone().with_recorder(builder.build());
+        let winner = grid_search_winner(g, op, feat, scalars, &traced, candidates);
+        match (full, winner) {
+            (Ok(full), Ok(w)) => {
+                assert_eq!(w.best, full.best, "{what}: best");
+                assert_eq!(
+                    w.best_time_ms.to_bits(),
+                    full.best_time_ms.to_bits(),
+                    "{what}: best_time_ms"
+                );
+                assert_eq!(
+                    report_bits(&w.best_report),
+                    report_bits(&full.best_report),
+                    "{what}: best_report"
+                );
+                assert_eq!(w.illegal, full.illegal, "{what}: illegal");
+            }
+            (Err(full), Err(w)) => assert_eq!(w, full, "{what}: error"),
+            (full, w) => panic!("{what}: full search {full:?}, winner-only {w:?}"),
+        }
+        let spans = ring.snapshot();
+        spans
+            .into_iter()
+            .filter(|s| s.name == "tune.candidate")
+            .collect()
+    }
+
+    #[test]
+    fn winner_only_search_equals_the_full_search() {
+        // The matrix of `deduplicated_search_equals_measuring_every_candidate`.
+        let graphs = [
+            uniform_random(60, 300, 41),
+            ugrapher_graph::generate::GraphSpec {
+                num_vertices: 90,
+                num_edges: 540,
+                degree_model: ugrapher_graph::generate::DegreeModel::PowerLaw { alpha: 2.0 },
+                locality: 0.3,
+                seed: 42,
+            }
+            .build(),
+        ];
+        let bad = ParallelInfo {
+            strategy: Strategy::WarpEdge,
+            grouping: 4,
+            tiling: 0,
+        };
+        let op = OpInfo::weighted_aggregation_sum();
+        let mut stopped = 0;
+        for (gi, g) in graphs.iter().enumerate() {
+            for feat in [1, 8, 12, 16, 32, 64] {
+                for (order, seed) in [("space", None), ("shuffled", Some(feat as u64))] {
+                    let mut candidates = ParallelInfo::space();
+                    candidates.insert(5, bad);
+                    if let Some(seed) = seed {
+                        candidates = shuffled(candidates, seed + gi as u64);
+                    }
+                    let scalars = (false, feat % 2 == 0);
+                    let what = format!("graph {gi} feat {feat} {order}");
+                    let spans =
+                        assert_same_winner(g, &op, feat, scalars, &options(), &candidates, &what);
+                    stopped += spans.iter().filter(|s| s.attr("stopped").is_some()).count();
+                }
+            }
+        }
+        assert!(stopped > 0, "the matrix exercises the early stop");
+    }
+
+    /// Adversarial graphs built with `ugrapher_graph::generate` and from
+    /// raw edges: one vertex, only isolated vertices, hubs, self-loops and
+    /// multi-edges.
+    fn adversarial_graphs() -> Vec<(&'static str, Graph)> {
+        use ugrapher_graph::generate::{DegreeModel, GraphSpec};
+        let spec = |num_vertices, num_edges, degree_model, seed| {
+            GraphSpec {
+                num_vertices,
+                num_edges,
+                degree_model,
+                locality: 0.0,
+                seed,
+            }
+            .build()
+        };
+        let mut hub_src = Vec::new();
+        let mut hub_dst = Vec::new();
+        for v in 1..48u32 {
+            hub_src.extend([v, 0, v]);
+            hub_dst.extend([0, v, 0]);
+        }
+        let edges = |nv, src, dst| Graph::from_edges(nv, src, dst).expect("edges in bounds");
+        vec![
+            ("one vertex", spec(1, 0, DegreeModel::NearRegular, 1)),
+            ("one vertex, loops", spec(1, 5, DegreeModel::NearRegular, 2)),
+            ("all isolated", spec(64, 0, DegreeModel::NearRegular, 3)),
+            (
+                "power-law hubs",
+                spec(120, 900, DegreeModel::PowerLaw { alpha: 2.5 }, 4),
+            ),
+            ("dense multi-edges", uniform_random(8, 200, 5)),
+            ("star hub with parallel edges", edges(48, hub_src, hub_dst)),
+            (
+                "self-loops everywhere",
+                edges(6, vec![0, 1, 2, 3, 4, 5, 5], vec![0, 1, 2, 3, 4, 5, 5]),
+            ),
+        ]
+    }
+
+    #[test]
+    fn winner_only_search_is_exact_on_adversarial_graphs() {
+        let op = OpInfo::weighted_aggregation_sum();
+        let space = ParallelInfo::space();
+        for (name, g) in adversarial_graphs() {
+            for device in [DeviceConfig::v100(), DeviceConfig::a100()] {
+                let options = MeasureOptions::auto(device.clone());
+                for feat in [1, 12, 32, 64] {
+                    for scalars in [(false, false), (false, true)] {
+                        let what = format!("{name} {} feat {feat} {scalars:?}", device.name);
+                        assert_same_winner(&g, &op, feat, scalars, &options, &space, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn winner_only_search_keeps_ties_and_illegal_candidates() {
+        let g = uniform_random(150, 900, 44);
+        let op = OpInfo::aggregation_sum();
+        let bad = ParallelInfo {
+            strategy: Strategy::ThreadEdge,
+            grouping: 0,
+            tiling: 1,
+        };
+        // Repeated schedules and twins tie exactly: the first in list order
+        // must win.
+        let mut ties = Vec::new();
+        for p in ParallelInfo::space().into_iter().rev() {
+            ties.extend([p, p]);
+        }
+        let illegal = [bad, ParallelInfo::basic(Strategy::WarpEdge), bad];
+        for (what, candidates) in [
+            ("ties", ties),
+            ("illegal", illegal.to_vec()),
+            ("only illegal", vec![bad, bad]),
+        ] {
+            for feat in [8, 32] {
+                let what = format!("{what} feat {feat}");
+                assert_same_winner(
+                    &g,
+                    &op,
+                    feat,
+                    (false, false),
+                    &options(),
+                    &candidates,
+                    &what,
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn winner_only_search_never_stops_a_sampled_launch() {
+        // Every candidate's grid has at least 781 blocks, more than twice
+        // Auto's 384-block target, so every launch is sampled
+        // (replication > 1) and no cutoff may apply. The power-law hub's
+        // atomic chain is long enough that a bound armed on these launches
+        // would stop the slow thread-edge candidate.
+        let g = ugrapher_graph::generate::GraphSpec {
+            num_vertices: 20_000,
+            num_edges: 200_000,
+            degree_model: ugrapher_graph::generate::DegreeModel::PowerLaw { alpha: 2.0 },
+            locality: 0.0,
+            seed: 45,
+        }
+        .build();
+        let op = OpInfo::aggregation_sum();
+        let candidates = [
+            ParallelInfo::new(Strategy::ThreadEdge, 1, 1),
+            ParallelInfo::new(Strategy::WarpEdge, 1, 1),
+            ParallelInfo::new(Strategy::WarpEdge, 2, 1),
+            ParallelInfo::new(Strategy::ThreadEdge, 1, 2),
+        ];
+        for p in candidates {
+            let plan = KernelPlan::generate(op, p, g.num_vertices(), g.num_edges(), 16).unwrap();
+            assert!(
+                plan.grid_blocks >= 2 * 384,
+                "{p}: {} blocks",
+                plan.grid_blocks
+            );
+        }
+        let spans = assert_same_winner(
+            &g,
+            &op,
+            16,
+            (false, false),
+            &options(),
+            &candidates,
+            "sampled",
+        );
+        assert_eq!(spans.len(), candidates.len());
+        for s in &spans {
+            assert!(s.attr("stopped").is_none(), "a sampled launch stopped");
+            assert!(s.attr("measured_time_ms").is_some());
         }
     }
 

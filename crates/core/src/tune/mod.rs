@@ -16,12 +16,20 @@
 //!   same search over the configured schedules.
 //!
 //! A [`TuneBudget`] caps how many candidates of a list a search covers.
+//!
+//! A caller that reads only the winner, such as a
+//! [`crate::api::Runtime`]'s plan-cache miss, uses the same engine's
+//! winner-only entry point. It returns the same winner, report and
+//! `illegal` count bit for bit, but stops tracing any kernel once a lower
+//! bound that no cache state can move proves it slower than the best time
+//! so far (see `grid.rs`). Sampled launches are never stopped.
 
 pub mod features;
 mod grid;
 mod predictor;
 mod random;
 
+pub(crate) use grid::grid_search_winner;
 pub use grid::{grid_search_budgeted, TuneBudget, TuneResult};
 pub use predictor::{Predictor, PredictorConfig};
 pub use random::random_candidates;

@@ -168,6 +168,12 @@ impl SpanGuard {
     pub fn finish(self) {
         drop(self);
     }
+
+    /// Drops the span without recording it, for work that turned out not
+    /// to happen.
+    pub fn discard(mut self) {
+        self.active = None;
+    }
 }
 
 impl Drop for SpanGuard {

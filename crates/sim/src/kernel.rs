@@ -9,7 +9,7 @@ use crate::access::Access;
 use crate::cache::Cache;
 use crate::device::DeviceConfig;
 use crate::report::SimReport;
-use crate::timing::{self, BlockCost};
+use crate::timing::{self, BlockCost, LowerBound, CUTOFF_SLACK};
 use crate::writeset::WriteLog;
 
 /// Grid configuration of one kernel launch.
@@ -62,6 +62,10 @@ impl LaunchConfig {
 /// [`KernelSim::compute`] calls, then [`KernelSim::end_block`]; finally
 /// [`KernelSim::finish`].
 ///
+/// A caller that only wants the kernel if it is faster than some time can
+/// arm a cutoff ([`KernelSim::with_cutoff_ms`]) and stop tracing once
+/// [`KernelSim::cannot_win`] says it is not.
+///
 /// The caches come from a one-slot per-thread reuse keyed by cache
 /// geometry and go back to it, emptied, when the simulator is dropped
 /// (also on unwind), so a measurement on a warm thread allocates no cache
@@ -77,6 +81,10 @@ pub struct KernelSim {
     conflicts: HashMap<u64, f64, BuildHasherDefault<ConflictHasher>>,
     line_buf: Vec<u64>,
     atomic_ops: f64,
+    /// The largest entry of `conflicts`.
+    max_conflict: f64,
+    /// The armed cutoff in ms and the running bound checked against it.
+    cutoff: Option<(f64, LowerBound)>,
     cold: ColdTracker,
     block_scale: f64,
     write_log: Option<WriteLog>,
@@ -215,6 +223,8 @@ impl KernelSim {
             conflicts: HashMap::default(),
             line_buf: Vec::with_capacity(64),
             atomic_ops: 0.0,
+            max_conflict: 0.0,
+            cutoff: None,
             cold: ColdTracker::default(),
             block_scale: 1.0,
             write_log: None,
@@ -242,6 +252,42 @@ impl KernelSim {
         }
         self.write_log = Some(WriteLog::new());
         Ok(())
+    }
+
+    /// Arms a cutoff: once a lower bound that no cache state can move
+    /// proves that [`KernelSim::finish`] would report a `time_ms` above
+    /// `cutoff_ms` (by more than a relative `1e-9`, which absorbs rounding),
+    /// [`KernelSim::cannot_win`] turns `true`. The bound is checked at each
+    /// [`KernelSim::end_block`], from the ended blocks' compute and L1
+    /// transactions per SM and the hottest atomic location so far.
+    ///
+    /// The bound holds for a full-fidelity launch (`replication == 1`) that
+    /// traces every block of its grid, ending them in block-id order. On a
+    /// sampled launch, and for an infinite or NaN cutoff, this does
+    /// nothing.
+    pub fn with_cutoff_ms(mut self, cutoff_ms: f64) -> Self {
+        if self.launch.replication == 1.0 && cutoff_ms < f64::INFINITY {
+            let bound = LowerBound::new(&self.device, self.launch.grid_blocks);
+            self.cutoff = Some((cutoff_ms, bound));
+        }
+        self
+    }
+
+    /// `true` once the armed cutoff is proven out of reach (see
+    /// [`KernelSim::with_cutoff_ms`]); always `false` without one.
+    pub fn cannot_win(&self) -> bool {
+        self.lower_bound_ms()
+            .zip(self.cutoff.as_ref())
+            .is_some_and(|(bound_ms, &(cutoff_ms, _))| bound_ms > cutoff_ms * (1.0 + CUTOFF_SLACK))
+    }
+
+    /// The running lower bound on the launch's `time_ms` from the blocks
+    /// ended so far, while a cutoff is armed; it only grows. A test hook for
+    /// the bound's soundness, which [`KernelSim::cannot_win`] relies on.
+    #[doc(hidden)]
+    pub fn lower_bound_ms(&self) -> Option<f64> {
+        let (_, bound) = self.cutoff.as_ref()?;
+        Some(time_ms(&self.device, bound.cycles(self.max_conflict)))
     }
 
     /// Starts tracing block `block_id` (assigned round-robin to SMs, as the
@@ -312,7 +358,9 @@ impl KernelSim {
         }
         for g in conflict_groups {
             self.atomic_ops += w;
-            *self.conflicts.entry(g).or_insert(0.0) += w;
+            let count = self.conflicts.entry(g).or_insert(0.0);
+            *count += w;
+            self.max_conflict = self.max_conflict.max(*count);
         }
     }
 
@@ -337,6 +385,9 @@ impl KernelSim {
     /// Panics if no block is open.
     pub fn end_block(&mut self) {
         let (_sm, cost) = self.current.take().expect("no block open");
+        if let Some((_, bound)) = &mut self.cutoff {
+            bound.push(&cost);
+        }
         self.pool.push(cost);
     }
 
@@ -369,7 +420,7 @@ impl KernelSim {
 
         // Atomic serialization: the hottest location's updates form a
         // dependency chain at the L2 atomic unit.
-        let max_conflict = self.conflicts.values().cloned().fold(0.0, f64::max);
+        let max_conflict = self.max_conflict;
         let atomic_chain = max_conflict * d.atomic_serial_cycles;
         let cycles = timing.cycles.max(atomic_chain);
 
@@ -409,7 +460,7 @@ impl KernelSim {
         };
 
         SimReport {
-            time_ms: d.cycles_to_ms(cycles) + d.launch_overhead_us * 1e-3,
+            time_ms: time_ms(d, cycles),
             kernels: 1,
             achieved_occupancy: timing.achieved_occupancy,
             theoretical_occupancy: theoretical,
@@ -449,6 +500,11 @@ impl KernelSim {
             }
         }
     }
+}
+
+/// A launch's time in ms from its cycles, launch overhead included.
+fn time_ms(d: &DeviceConfig, cycles: f64) -> f64 {
+    d.cycles_to_ms(cycles) + d.launch_overhead_us * 1e-3
 }
 
 impl Drop for KernelSim {

@@ -25,6 +25,16 @@
 
 use crate::DeviceConfig;
 
+/// L1 throughput: 32 B sectors an SM's L1 serves per cycle.
+const L1_SECTORS_PER_CYCLE: f64 = 4.0;
+
+/// Relative slack a [`LowerBound`] must clear before it rules a launch out.
+/// The bound sums an SM's terms over all its blocks while [`time_kernel`]
+/// sums them wave by wave, so the two can differ by floating-point rounding
+/// (relative size near `1e-16` per addition); the slack absorbs that with
+/// a wide margin, so a launch whose time equals the cutoff is never cut.
+pub(crate) const CUTOFF_SLACK: f64 = 1e-9;
+
 /// Per-block cost summary accumulated by the trace front-end.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BlockCost {
@@ -119,7 +129,6 @@ pub fn time_kernel(
     let warps_per_block = threads_per_block.div_ceil(device.warp_size).max(1) as f64;
     let res = residency(device, threads_per_block, regs_per_thread);
 
-    let l1_sectors_per_cycle = 4.0;
     let l2_bpc = device.l2_bytes_per_cycle_per_sm();
     let dram_bpc = device.dram_bytes_per_cycle_per_sm();
     let line = device.line_bytes as f64;
@@ -186,7 +195,7 @@ pub fn time_kernel(
             }
 
             let issue = agg.compute / device.issue_width;
-            let l1_thru = agg.l1_transactions() / l1_sectors_per_cycle;
+            let l1_thru = agg.l1_transactions() / L1_SECTORS_PER_CYCLE;
             let l2_bw = agg.l2_transactions() * line / l2_bpc;
             let dram_bw = agg.dram * line / dram_bpc;
             let wave_time = issue
@@ -237,6 +246,74 @@ pub fn time_kernel(
         cycles: critical,
         achieved_occupancy,
         sm_efficiency,
+    }
+}
+
+/// A running lower bound on the time [`time_kernel`] gives a full-fidelity
+/// pool, fed one block at a time in pool order, that no cache state can
+/// move.
+///
+/// Block `j` of a pool that covers the grid runs on SM `j % num_sms`, and
+/// each of an SM's waves lasts at least its issue term (compute over the
+/// issue width) and at least its L1 term (L1 transactions over four sectors
+/// per cycle). Summed over the SM's waves, its time is at least the summed
+/// issue term and at least the summed L1 term, and the kernel's cycles are
+/// the largest SM time or the atomic chain, whichever is longer. Neither
+/// term reads a cache: every non-atomic line a block touches counts once
+/// as an L1 transaction whether it hits or misses. Blocks past the grid are
+/// not timed and are skipped here too.
+///
+/// Sampled pools are not a plain sum per SM (their blocks are hash-dealt
+/// and the waves past [`time_kernel`]'s cap are extrapolated), so the bound
+/// holds only for a pool that ends up covering the grid.
+#[derive(Debug, Clone)]
+pub(crate) struct LowerBound {
+    grid_blocks: usize,
+    issue_width: f64,
+    atomic_serial_cycles: f64,
+    /// Blocks pushed so far.
+    blocks: usize,
+    /// Per SM: summed compute warp-cycles and L1 transactions.
+    compute: Vec<f64>,
+    l1: Vec<f64>,
+    /// The largest per-SM issue or L1 term so far, in cycles.
+    cycles: f64,
+}
+
+impl LowerBound {
+    /// An empty bound for a grid of `grid_blocks` blocks on `device`.
+    pub(crate) fn new(device: &DeviceConfig, grid_blocks: usize) -> Self {
+        Self {
+            grid_blocks,
+            issue_width: device.issue_width,
+            atomic_serial_cycles: device.atomic_serial_cycles,
+            blocks: 0,
+            compute: vec![0.0; device.num_sms],
+            l1: vec![0.0; device.num_sms],
+            cycles: 0.0,
+        }
+    }
+
+    /// Adds the next block of the pool.
+    pub(crate) fn push(&mut self, block: &BlockCost) {
+        let j = self.blocks;
+        self.blocks += 1;
+        if j >= self.grid_blocks {
+            return;
+        }
+        let sm = j % self.compute.len();
+        self.compute[sm] += block.compute;
+        self.l1[sm] += block.l1_transactions();
+        self.cycles = self
+            .cycles
+            .max(self.compute[sm] / self.issue_width)
+            .max(self.l1[sm] / L1_SECTORS_PER_CYCLE);
+    }
+
+    /// The bound in cycles, given the update count of the hottest atomic
+    /// location so far (the dependency chain the kernel's time also covers).
+    pub(crate) fn cycles(&self, max_conflict: f64) -> f64 {
+        self.cycles.max(max_conflict * self.atomic_serial_cycles)
     }
 }
 

@@ -105,10 +105,25 @@ for slot in ("before", "after", "smoke"):
     for entry in run["runs"]:
         for key in ("mean_measure_us", "grid_search_ms"):
             quartiles(entry, key)
+    # One plan-cache miss of a fresh Runtime on the grid-search graph: each
+    # distinct kernel either ran to its report or stopped once it could not
+    # win.
+    miss = run["runtime_miss"]
+    assert miss["candidates"] == 196, miss
+    assert (miss["vertices"], miss["edges"]) == (
+        run["grid_search"]["vertices"], run["grid_search"]["edges"]), miss
+    assert miss["ms"] > 0
+    quartiles(miss, "ms")
+    assert miss["measured"] > 0 and miss["stopped"] >= 0, miss
+    assert miss["measured"] + miss["stopped"] == run["grid_search"]["measured"], miss
+    for entry in run["runs"]:
+        quartiles(entry, "runtime_miss_ms")
 assert r["smoke"]["smoke"] is True
 for key in ("mean_measure_us", "grid_search_ms"):
     assert r["after_over_before"][key] > 0, key
     assert isinstance(r["iqr_overlap"][key], bool), key
+assert r["after_over_before"]["runtime_miss_ms"] > 0
+assert isinstance(r["iqr_overlap"]["runtime_miss_ms"], bool)
 print(f'sim JSON ok: {len(r["smoke"]["cells"])} smoke cells, '
       f'{r["smoke"]["mean_measure_us"]:.1f} us/measure, '
       f'grid search {r["smoke"]["grid_search"]["ms"]:.1f} ms')
